@@ -41,9 +41,9 @@ bench:
 # Serialized-vs-batched serving comparison plus per-stage allocation
 # profile: emits BENCH_serve.json (virtual throughput, p50/p99, batch
 # occupancy), BENCH_alloc.json (allocs/op, bytes/op, ns/op per
-# hot-path stage) and BENCH_par.json (serial-vs-tiled kernel scaling,
-# rulebook-cache hit rates, parallel byte-identity) — the
-# perf-trajectory artifacts CI uploads on every run.
+# hot-path stage) and BENCH_par.json (nil-pool vs pooled kernel
+# scaling, scene rulebook-cache hit rates) — the perf-trajectory
+# artifacts CI uploads on every run.
 bench-json:
 	BENCH_JSON=$(abspath BENCH_serve.json) $(GO) test -run '^TestServeBenchJSON$$' -count=1 ./internal/serve
 	BENCH_OBS_JSON=$(abspath BENCH_obs.json) $(GO) test -run '^TestObsBenchJSON$$' -count=1 ./internal/serve

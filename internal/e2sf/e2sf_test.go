@@ -180,67 +180,6 @@ func TestBinBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestConvertDense(t *testing.T) {
-	s := mkStream(4, 4,
-		events.Event{X: 1, Y: 2, TS: 5, Pol: events.On},
-		events.Event{X: 3, Y: 0, TS: 15, Pol: events.Off},
-	)
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 2})
-	dense, ops, err := c.ConvertDense(s, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dense) != 2 {
-		t.Fatalf("frames=%d", len(dense))
-	}
-	if dense[0].At(0, 2, 1) != 1 {
-		t.Fatal("dense pos channel wrong")
-	}
-	if dense[1].At(1, 0, 3) != 1 {
-		t.Fatal("dense neg channel wrong")
-	}
-	// 2 frames * 2*4*4 stores + 2 event accumulates
-	if ops != 2*32+2 {
-		t.Fatalf("ops=%d", ops)
-	}
-	if c.EncodeDecodeOps() != 32 {
-		t.Fatalf("encode ops=%d", c.EncodeDecodeOps())
-	}
-}
-
-func TestCountTimestamp(t *testing.T) {
-	s := mkStream(4, 4,
-		events.Event{X: 1, Y: 1, TS: 10, Pol: events.On},
-		events.Event{X: 1, Y: 1, TS: 90, Pol: events.On}, // later: overwrites ts
-		events.Event{X: 2, Y: 2, TS: 50, Pol: events.Off},
-	)
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 8})
-	ct, err := c.ConvertCountTimestamp(s, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.Counts.NNZ() != 2 {
-		t.Fatalf("nnz=%d", ct.Counts.NNZ())
-	}
-	p, _ := ct.Counts.Get(1, 1)
-	if p != 2 {
-		t.Fatalf("count=%f", p)
-	}
-	// Entry order is sorted by (y, x): (1,1) first, then (2,2).
-	if ct.LastPosTS[0] != 0.9 {
-		t.Fatalf("last pos ts=%f want 0.9", ct.LastPosTS[0])
-	}
-	if ct.LastNegTS[1] != 0.5 {
-		t.Fatalf("last neg ts=%f want 0.5", ct.LastNegTS[1])
-	}
-	if ct.LastNegTS[0] != 0 {
-		t.Fatalf("pixel without neg events has ts=%f", ct.LastNegTS[0])
-	}
-	if _, err := c.ConvertCountTimestamp(s, 5, 5); err == nil {
-		t.Fatal("empty window accepted")
-	}
-}
-
 func TestGroupBins(t *testing.T) {
 	c, _ := New(Config{Width: 8, Height: 8, NumBins: 5})
 	s := scene.GenerateUniform(8, 8, 100_000, 50_000, 3)

@@ -9,23 +9,25 @@ import (
 	"evedge/internal/sparse"
 )
 
-// Fused is the one-pass E2SF kernel for the serving hot path. The
-// unfused path (Convert → GroupBins, or ConvertByCount) materializes a
-// FrameBuilder map per bin and intermediate per-bin frames that are
-// immediately merged and thrown away; Fused traverses the event chunk
+// Fused is the one-pass E2SF kernel, used by the offline pipeline
+// (pipeline.ConvertStream) and the serving hot path alike. Rather than
+// materializing a map per bin and intermediate per-bin frames that are
+// immediately merged and thrown away, it traverses the event chunk
 // once, accumulating polarities into a dense scratch grid that is
 // epoch-stamped so it never needs clearing between frames, and emits
 // each output frame with a single key sort. Frames come from the
 // optional FramePool, so a warm kernel converts a chunk with zero heap
-// allocations.
+// allocations; without a pool each frame is allocated at its exact
+// size.
 //
-// Outputs are bit-identical to the unfused path: per-pixel values are
-// integer event counts (exact in float32 far beyond any realistic
-// per-frame count), entries are emitted in the same key order, and
-// frame time bounds use the same float64 bin arithmetic.
+// Outputs are bit-identical to per-bin conversion followed by a merge
+// of each group (the test oracle): per-pixel values are integer event
+// counts (exact in float32 far beyond any realistic per-frame count),
+// entries are emitted in key order, and frame time bounds use the
+// same float64 bin arithmetic.
 //
-// A Fused kernel is NOT safe for concurrent use — it is per-session
-// state, like the ingestConverter that owns it.
+// A Fused kernel is NOT safe for concurrent use — it is per-stream
+// state, like the serving session's ingestConverter that owns one.
 type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
@@ -37,19 +39,12 @@ type Fused struct {
 	stamp    []uint32
 	epoch    uint32
 	touched  []int32
-
-	// Voxel scratch: signed per-(bin, pixel) accumulation with its own
-	// stamping, sized NumBins*H*W on first voxel conversion.
-	vox        []float32
-	voxStamp   []uint32
-	voxEpoch   uint32
-	voxTouched [][]int32
 }
 
 // NewFused validates the config and returns a fused kernel drawing
 // output frames from pool (nil to allocate fresh frames).
 func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
-	if _, err := New(cfg); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if int64(cfg.Width)*int64(cfg.Height) > math.MaxInt32 {
@@ -57,9 +52,6 @@ func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	}
 	return &Fused{cfg: cfg, pool: pool}, nil
 }
-
-// Config returns the kernel's configuration.
-func (k *Fused) Config() Config { return k.cfg }
 
 func (k *Fused) ensureScratch() {
 	if k.pos == nil {
@@ -94,19 +86,28 @@ func (k *Fused) add(e events.Event) {
 	}
 }
 
-// frame borrows or allocates an output frame.
-func (k *Fused) frame(t0, t1 int64) *sparse.Frame {
+// frame borrows a pooled output frame or, without a pool, allocates
+// one whose channels are exactly n entries long (callers such as
+// pipeline.Run keep every frame of a stream live at once).
+func (k *Fused) frame(t0, t1 int64, n int) *sparse.Frame {
 	if k.pool != nil {
 		return k.pool.Get(k.cfg.Height, k.cfg.Width, t0, t1)
 	}
-	return sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
+	f := sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
+	if n > 0 {
+		f.Ys = make([]int32, 0, n)
+		f.Xs = make([]int32, 0, n)
+		f.Pos = make([]float32, 0, n)
+		f.Neg = make([]float32, 0, n)
+	}
+	return f
 }
 
 // emitFrame sorts the touched keys, gathers the scratch into a frame
 // spanning [t0, t1), and resets the scratch for the next frame.
 func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
 	sortInt32s(k.touched)
-	f := k.frame(t0, t1)
+	f := k.frame(t0, t1, len(k.touched))
 	w := int32(k.cfg.Width)
 	for _, key := range k.touched {
 		f.Ys = append(f.Ys, key/w)
@@ -125,17 +126,13 @@ func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
 	return f
 }
 
-// ConvertGrouped is the fused equivalent of Convert followed by
-// GroupBins: one frame per group of groupK consecutive bins (the last
-// group may cover fewer bins; empty groups still yield empty frames,
-// preserving temporal alignment). Stats are reported over the emitted
-// group frames, matching what the serving path observes.
-func (k *Fused) ConvertGrouped(s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
-	return k.ConvertGroupedAppend(nil, s, tStart, tEnd, groupK)
-}
-
-// ConvertGroupedAppend is ConvertGrouped appending into dst, so a
-// caller-owned output slice is reused across chunks.
+// ConvertGroupedAppend bins the events of s in [tStart, tEnd) into
+// NumBins bins per Eq. 1 and appends one frame per group of groupK
+// consecutive bins to dst (the last group may cover fewer bins; empty
+// groups still yield empty frames, preserving temporal alignment).
+// Appending lets a caller reuse its output slice across chunks. Stats
+// are reported over the emitted group frames. The stream must be
+// sorted.
 func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
 	if tEnd <= tStart {
@@ -159,8 +156,8 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		if b > nB {
 			b = nB
 		}
-		// Same float64 bin-boundary arithmetic as Convert, so group
-		// bounds equal the MergeAdd union of the member bins' bounds.
+		// Group bounds are the first member bin's start and the last
+		// member bin's end under the Eq. 1 float64 bin arithmetic.
 		t0 := tStart + int64(float64(a)*biS)
 		t1 := tStart + int64(float64(b)*biS)
 		f := k.emitFrame(t0, t1)
@@ -189,14 +186,13 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	return dst, st, nil
 }
 
-// ConvertByCount is the fused equivalent of Converter.ConvertByCount:
-// a frame every countPerFrame events with T1 just past the closing
-// event, plus a trailing partial frame ending at tEnd.
-func (k *Fused) ConvertByCount(s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
-	return k.ConvertByCountAppend(nil, s, tStart, tEnd, countPerFrame)
-}
-
-// ConvertByCountAppend is ConvertByCount appending into dst.
+// ConvertByCountAppend implements the count-based framing of prior
+// works ([7] SpikeFlowNet, [8] Fusion-FlowNet: "construct event frames
+// by statically counting the number of events"), appending to dst: a
+// frame every countPerFrame events in [tStart, tEnd) with T1 just past
+// the closing event, plus a trailing partial frame ending at tEnd. The
+// frame rate tracks scene activity — the behaviour that creates frame
+// backlog during bursts and motivates DSFA.
 func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
 	if tEnd <= tStart {
@@ -236,83 +232,6 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		st.MeanDensity /= float64(st.Frames)
 	}
 	return dst, st, nil
-}
-
-// ConvertVoxel is the fused equivalent of Converter.ConvertVoxel,
-// reusing the kernel's voxel scratch across chunks instead of building
-// per-bin accumulation maps. Bilinear weights are applied in the same
-// event order, so bin values are bit-identical.
-func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, error) {
-	if tEnd <= tStart {
-		return nil, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return nil, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
-	}
-	nB := k.cfg.NumBins
-	if nB < 2 {
-		return nil, fmt.Errorf("e2sf: voxel grid needs at least 2 bins, got %d", nB)
-	}
-	hw := k.cfg.Width * k.cfg.Height
-	if k.vox == nil || len(k.vox) < nB*hw {
-		k.vox = make([]float32, nB*hw)
-		k.voxStamp = make([]uint32, nB*hw)
-		k.voxTouched = make([][]int32, nB)
-	}
-	k.voxEpoch++
-	if k.voxEpoch == 0 {
-		for i := range k.voxStamp {
-			k.voxStamp[i] = 0
-		}
-		k.voxEpoch = 1
-	}
-	for b := 0; b < nB; b++ {
-		k.voxTouched[b] = k.voxTouched[b][:0]
-	}
-	acc := func(b int, key int32, v float32) {
-		i := b*hw + int(key)
-		if k.voxStamp[i] != k.voxEpoch {
-			k.voxStamp[i] = k.voxEpoch
-			k.vox[i] = 0
-			k.voxTouched[b] = append(k.voxTouched[b], key)
-		}
-		k.vox[i] += v
-	}
-	span := float64(tEnd - tStart)
-	for _, e := range s.Window(tStart, tEnd) {
-		tStar := float64(nB-1) * float64(e.TS-tStart) / span
-		b0 := int(tStar)
-		frac := tStar - float64(b0)
-		pol := float32(1)
-		if e.Pol == events.Off {
-			pol = -1
-		}
-		key := int32(e.Y)*int32(k.cfg.Width) + int32(e.X)
-		acc(b0, key, pol*float32(1-frac))
-		if b0+1 < nB && frac > 0 {
-			acc(b0+1, key, pol*float32(frac))
-		}
-	}
-	g := &VoxelGrid{T0: tStart, T1: tEnd}
-	biS := span / float64(nB)
-	w := int32(k.cfg.Width)
-	for b := 0; b < nB; b++ {
-		f := k.frame(tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
-		sortInt32s(k.voxTouched[b])
-		for _, key := range k.voxTouched[b] {
-			v := k.vox[b*hw+int(key)]
-			if v == 0 {
-				continue // positive and negative contributions cancelled
-			}
-			f.Ys = append(f.Ys, key/w)
-			f.Xs = append(f.Xs, key%w)
-			f.Pos = append(f.Pos, v)
-			f.Neg = append(f.Neg, 0)
-		}
-		g.Bins = append(g.Bins, f)
-	}
-	return g, nil
 }
 
 func sortInt32s(a []int32) {

@@ -2,6 +2,7 @@ package e2sf
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"evedge/internal/events"
@@ -19,7 +20,7 @@ func randStream(rng *rand.Rand, w, h, n int, t0, t1 int64) *events.Stream {
 	for i := range ts {
 		ts[i] = t0 + rng.Int63n(t1-t0)
 	}
-	sortInt64s(ts)
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 	for _, t := range ts {
 		pol := events.On
 		if rng.Intn(2) == 0 {
@@ -83,7 +84,7 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, fSt, err := fused.ConvertGrouped(s, t0, t1, groupK)
+		got, fSt, err := fused.ConvertGroupedAppend(nil, s, t0, t1, groupK)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestFusedConvertByCountParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, fSt, err := fused.ConvertByCount(s, t0, t1, cpf)
+		got, fSt, err := fused.ConvertByCountAppend(nil, s, t0, t1, cpf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,44 +139,6 @@ func TestFusedConvertByCountParity(t *testing.T) {
 		}
 		if fSt.EventsIn != uSt.EventsIn || fSt.Frames != uSt.Frames || fSt.TotalNNZ != uSt.TotalNNZ {
 			t.Fatalf("trial %d: stats %+v != %+v", trial, fSt, uSt)
-		}
-	}
-}
-
-// TestFusedConvertVoxelParity checks the voxel scratch path against the
-// map-based ConvertVoxel, reusing one kernel across chunks to exercise
-// the epoch stamping.
-func TestFusedConvertVoxelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	cfg := Config{Width: 16, Height: 12, NumBins: 5}
-	conv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := NewFused(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 40; trial++ {
-		t0 := rng.Int63n(1000)
-		t1 := t0 + 1 + rng.Int63n(997)
-		s := randStream(rng, cfg.Width, cfg.Height, rng.Intn(500), t0, t1)
-		want, err := conv.ConvertVoxel(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fused.ConvertVoxel(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.T0 != want.T0 || got.T1 != want.T1 || len(got.Bins) != len(want.Bins) {
-			t.Fatalf("trial %d: grid shape mismatch", trial)
-		}
-		for b := range want.Bins {
-			framesEqual(t, "voxel", got.Bins[b], want.Bins[b])
-		}
-		if got.Mass() != want.Mass() {
-			t.Fatalf("trial %d: mass %v != %v", trial, got.Mass(), want.Mass())
 		}
 	}
 }
@@ -197,7 +160,7 @@ func TestFusedScratchReuseAcrossChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := GroupBins(frames, 2)
-		got, _, err := fused.ConvertGrouped(s, t0, t1, 2)
+		got, _, err := fused.ConvertGroupedAppend(nil, s, t0, t1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,6 +201,59 @@ func TestFusedPooledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFusedFreshFramesExactSize: without a pool every output frame's
+// channels are allocated at exactly the frame's entry count, so a
+// caller holding a whole stream's frames (pipeline.Run) keeps no
+// append slack live.
+func TestFusedFreshFramesExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	cfg := Config{Width: 24, Height: 18, NumBins: 6}
+	fused, err := NewFused(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := randStream(rng, cfg.Width, cfg.Height, 700, 0, 3000)
+	grouped, _, err := fused.ConvertGroupedAppend(nil, s, 0, 3000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted, _, err := fused.ConvertByCountAppend(nil, s, 0, 3000, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range append(grouped, counted...) {
+		if f.NNZ() == 0 {
+			t.Fatalf("frame %d is empty; the stream should touch every group", i)
+		}
+		for _, ch := range []struct {
+			name     string
+			len, cap int
+		}{
+			{"Ys", len(f.Ys), cap(f.Ys)}, {"Xs", len(f.Xs), cap(f.Xs)},
+			{"Pos", len(f.Pos), cap(f.Pos)}, {"Neg", len(f.Neg), cap(f.Neg)},
+		} {
+			if ch.cap != ch.len {
+				t.Fatalf("frame %d: %s cap %d != len %d", i, ch.name, ch.cap, ch.len)
+			}
+		}
+	}
+}
+
+// TestQuicksortInt32 covers the key sort every emitted frame uses.
+func TestQuicksortInt32(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 100, 1000} {
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = int32(r.Intn(50)) // duplicates on purpose
+		}
+		sortInt32s(a)
+		if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
+			t.Fatalf("n=%d not sorted", n)
+		}
+	}
+}
+
 func TestFusedValidation(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, NumBins: 2}
 	fused, err := NewFused(cfg, nil)
@@ -245,16 +261,16 @@ func TestFusedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := events.NewStream(8, 8)
-	if _, _, err := fused.ConvertGrouped(s, 10, 10, 1); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, s, 10, 10, 1); err == nil {
 		t.Fatal("empty interval accepted")
 	}
-	if _, _, err := fused.ConvertGrouped(s, 0, 10, 0); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero group size accepted")
 	}
-	if _, _, err := fused.ConvertGrouped(events.NewStream(4, 4), 0, 10, 1); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, events.NewStream(4, 4), 0, 10, 1); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
-	if _, _, err := fused.ConvertByCount(s, 0, 10, 0); err == nil {
+	if _, _, err := fused.ConvertByCountAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero countPerFrame accepted")
 	}
 	if _, err := NewFused(Config{Width: 0, Height: 1, NumBins: 1}, nil); err == nil {
@@ -287,7 +303,7 @@ func BenchmarkE2SFConvert(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fused.ConvertGrouped(s, 0, 10000, 2); err != nil {
+			if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10000, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

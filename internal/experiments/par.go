@@ -6,17 +6,15 @@ import (
 	"runtime"
 	"time"
 
-	"evedge/internal/harness"
 	"evedge/internal/nn"
 	"evedge/internal/par"
 	"evedge/internal/sparse"
 )
 
 // The par/rulebook experiments are repo-native (no counterpart in the
-// paper): they characterize the host-side parallel kernel path and the
-// temporal-coherence rulebook cache. Virtual-time results are
-// byte-identical with and without them — these tables are about wall
-// clock and cache behaviour, not about the simulated accelerators.
+// paper): they characterize the sparse kernels' pooled row-range split
+// and the temporal-coherence rulebook cache — host wall clock and
+// cache behaviour, not the simulated accelerators.
 
 // measureNs times fn (which must already include any per-op loop) by
 // repeating it until ~40ms of wall clock accumulates.
@@ -32,7 +30,7 @@ func measureNs(fn func()) float64 {
 }
 
 // parProjectNs is the work-span projection: shards split units with
-// the kernels' splitRange arithmetic, the largest shard bounds the
+// the kernels' even contiguous row partition, the largest shard bounds the
 // span, and the measured empty-dispatch cost rides on top.
 func parProjectNs(serialNs float64, units, cpus, shards int, overheadNs float64) float64 {
 	maxShard := 0
@@ -53,8 +51,8 @@ type parNoop struct{}
 
 func (parNoop) RunShard(int, int, *par.Scratch) {}
 
-// Par regenerates the core-scaling table: serial vs tiled sparse
-// kernels across Config.CPUList. Measured wall time is whatever the
+// Par regenerates the core-scaling table: each sparse kernel on a nil
+// pool vs on pools of the widths in Config.CPUList. Measured wall time is whatever the
 // host delivers (honest on any core count); the projected column is
 // the deterministic work-span bound for the stated core count.
 func Par(cfg Config) (*Result, error) {
@@ -104,31 +102,28 @@ func Par(cfg Config) (*Result, error) {
 	}
 	outMat := sparse.NewMat(rows, dcols)
 
+	// units is each kernel's row count: the range its body is split
+	// over on a pool.
 	kernels := []struct {
-		name   string
-		units  int
-		serial func()
-		tiled  func(pool *par.Pool, shards int)
+		name  string
+		units int
+		run   func(pool *par.Pool)
 	}{
-		{"submanifold_conv2d", in.H * in.W,
-			func() { _ = sparse.SubmanifoldConv2DInto(outSub, in, f) },
-			func(p *par.Pool, s int) { _ = sparse.SubmanifoldConv2DTiledInto(outSub, in, f, p, s) }},
+		{"submanifold_conv2d", in.H,
+			func(p *par.Pool) { _ = sparse.SubmanifoldConv2D(outSub, in, f, p) }},
 		{"sparse_conv2d", oh,
-			func() { _ = sparse.SparseConv2DInto(outConv, in, f) },
-			func(p *par.Pool, s int) { _ = sparse.SparseConv2DTiledInto(outConv, in, f, p, s) }},
-		{"conv2d", f.OutC * oh * ow,
-			func() { _ = sparse.Conv2DInto(outConv, in, f) },
-			func(p *par.Pool, s int) { _ = sparse.Conv2DTiledInto(outConv, in, f, p, s) }},
+			func(p *par.Pool) { _ = sparse.SparseConv2D(outConv, in, f, p) }},
+		{"conv2d", f.OutC * oh,
+			func(p *par.Pool) { _ = sparse.Conv2D(outConv, in, f, p) }},
 		{"csr_spmm", rows,
-			func() { _ = csr.SpMMInto(outMat, dmat) },
-			func(p *par.Pool, s int) { _ = csr.SpMMTiledInto(outMat, dmat, p, s) }},
+			func(p *par.Pool) { _ = csr.SpMM(outMat, dmat, p) }},
 	}
 
 	res := &Result{
 		ID:     "par",
 		Title:  "Tiled sparse kernels: measured wall time and work-span core scaling",
 		Header: []string{"kernel", "cpus", "serial us/op", "tiled wall us/op", "projected us/op", "projected speedup"},
-		PaperRef: "repo-native (no paper counterpart): tiled kernels are bit-identical to serial, " +
+		PaperRef: "repo-native (no paper counterpart): kernels are bit-identical for every pool width, " +
 			"so only host wall clock changes",
 		Notes: []string{
 			fmt.Sprintf("host has %d CPU core(s); measured tiled wall time shows real speedup only when the host has the stated cores", runtime.NumCPU()),
@@ -136,18 +131,19 @@ func Par(cfg Config) (*Result, error) {
 		},
 	}
 	for _, k := range kernels {
-		serialNs := measureNs(k.serial)
+		serialNs := measureNs(func() { k.run(nil) })
 		for _, c := range cpus {
 			if c < 1 {
 				return nil, fmt.Errorf("experiments: cpu list entry %d < 1", c)
 			}
 			pool := par.New(c)
-			shards := 2 * c
+			// The kernels split their rows into 2 x width ranges.
+			shards := min(2*c, k.units)
 			overhead := 0.0
 			if c > 1 {
 				overhead = measureNs(func() { pool.Run(shards, parNoop{}) })
 			}
-			wallNs := measureNs(func() { k.tiled(pool, shards) })
+			wallNs := measureNs(func() { k.run(pool) })
 			pool.Close()
 			projNs := parProjectNs(serialNs, k.units, c, shards, overhead)
 			res.addRow(k.name, fmt.Sprintf("%d", c),
@@ -162,10 +158,8 @@ func Par(cfg Config) (*Result, error) {
 
 // Rulebook regenerates the temporal-coherence table: rulebook-cache
 // hit rates over real scene streams (coherent tracker vs fast
-// ego-motion) and over the harness's uniform-random scenario traffic
-// (the adversarial worst case — spatially uncorrelated events make
-// every frame look like a scene cut, and the cache degrades to a
-// rebuild per frame without ever corrupting results).
+// ego-motion), observed through sparse.RulebookCache on the E2SF frame
+// streams the offline pipeline produces.
 func Rulebook(cfg Config) (*Result, error) {
 	res := &Result{
 		ID:     "rulebook",
@@ -173,6 +167,7 @@ func Rulebook(cfg Config) (*Result, error) {
 		Header: []string{"workload", "frames", "hits", "misses", "hit rate", "sites carried", "saved scan elems"},
 		PaperRef: "repo-native (no paper counterpart): coherence is a property of the event stream; " +
 			"results are identical on hit and miss paths",
+		Notes: []string{"saved scan elems = per-frame H*W minus rulebook sites: the dense activity-scan elements one submanifold layer skips"},
 	}
 	for _, name := range []string{nn.DOTIE, nn.SpikeFlowNet} {
 		net, err := nn.ByName(name)
@@ -187,9 +182,7 @@ func Rulebook(cfg Config) (*Result, error) {
 		var saved uint64
 		for _, fr := range frames {
 			as, _ := cache.Observe(fr)
-			if n := fr.H*fr.W - as.Sites(); n > 0 {
-				saved += uint64(n)
-			}
+			saved += uint64(fr.H*fr.W - as.Sites())
 		}
 		st := cache.Stats()
 		res.addRow("scene/"+name,
@@ -197,28 +190,5 @@ func Rulebook(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.3f", st.HitRate()),
 			fmt.Sprintf("%d", st.SitesCarried), fmt.Sprintf("%d", saved))
 	}
-	parallel := cfg.Parallel
-	if parallel <= 1 {
-		parallel = 8
-	}
-	for _, name := range []string{"steady", "dynamics-flip"} {
-		sc, err := harness.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		sc.Parallel = parallel
-		run, err := harness.Run(sc, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rb := run.Rulebook
-		res.addRow("scenario/"+name,
-			fmt.Sprintf("%d", rb.Frames), fmt.Sprintf("%d", rb.Hits), fmt.Sprintf("%d", rb.Misses),
-			fmt.Sprintf("%.3f", rb.HitRate()),
-			fmt.Sprintf("%d", rb.SitesCarried), fmt.Sprintf("%d", rb.SavedScanElems))
-	}
-	res.Notes = append(res.Notes,
-		"scene rows observe E2SF frame streams directly; scenario rows run the fleet harness with Script.Parallel="+fmt.Sprint(parallel),
-		"scenario traffic is uniform-random synthetic events: zero spatial coherence by construction, the cache's worst case")
 	return res, nil
 }

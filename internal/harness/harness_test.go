@@ -83,52 +83,6 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioParallelByteIdentical replays scenarios with the kernel
-// worker pool enabled and requires the timeline to be byte-identical
-// to the serial run: tiled kernels are bit-identical to their serial
-// counterparts and rulebook upkeep never touches virtual time, so
-// parallelism may only change host wall-clock, never the result.
-func TestScenarioParallelByteIdentical(t *testing.T) {
-	for _, name := range []string{"steady", "dynamics-flip"} {
-		t.Run(name, func(t *testing.T) {
-			serial, err := Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tiled := serial
-			tiled.Parallel = 8
-			a, err := Run(serial, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(tiled, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ja, err := a.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			jb, err := b.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ja, jb) {
-				i := 0
-				for i < len(ja) && i < len(jb) && ja[i] == jb[i] {
-					i++
-				}
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("parallel run diverged from serial; first divergence at byte %d:\n...%s\nvs\n...%s",
-					i, ja[lo:min(i+80, len(ja))], jb[lo:min(i+80, len(jb))])
-			}
-		})
-	}
-}
-
 // TestScriptValidate covers the script compiler's error paths.
 func TestScriptValidate(t *testing.T) {
 	base := func() Script {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -9,26 +8,24 @@ import (
 	"runtime"
 	"testing"
 
-	"evedge/internal/events"
 	"evedge/internal/nn"
 	"evedge/internal/par"
+	"evedge/internal/pipeline"
 	"evedge/internal/scene"
-	"evedge/internal/serve"
 	"evedge/internal/sparse"
 )
 
-// BENCH_par.json: the core-scaling artifact for the tiled kernels and
-// the rulebook cache. Wall-clock numbers are measured on whatever CI
-// box runs this (host_cpus records how many cores it really had);
-// speedups at core counts the host does not have are explicit
-// work-span projections, never presented as measurements. Virtual-time
-// figures are deterministic and asserted exactly.
+// BENCH_par.json: the core-scaling artifact for the pooled sparse
+// kernels and the rulebook cache. Wall-clock numbers are measured on
+// whatever box runs this (host_cpus records how many cores it really
+// had); speedups at core counts the host does not have are explicit
+// work-span projections, never presented as measurements.
 
 // parTile is one (cpus) column of a kernel's scaling row.
 type parTile struct {
 	CPUs   int `json:"cpus"`
 	Shards int `json:"shards"`
-	// MeasuredNsPerOp is the tiled kernel's wall time on THIS host —
+	// MeasuredNsPerOp is the pooled kernel's wall time on THIS host —
 	// on a host with fewer cores than CPUs it measures dispatch
 	// overhead on top of serialized shard execution, not speedup.
 	MeasuredNsPerOp float64 `json:"measured_wall_ns_per_op"`
@@ -44,21 +41,9 @@ type parTile struct {
 type parKernelRow struct {
 	Kernel        string    `json:"kernel"`
 	Shape         string    `json:"shape"`
-	Units         int       `json:"units"` // shardable work units (elements/sites/rows)
+	Units         int       `json:"units"` // rows the kernel's body is split over
 	SerialNsPerOp float64   `json:"serial_ns_per_op"`
 	Tiles         []parTile `json:"tiles"`
-}
-
-// parServingRow is the serial-vs-parallel serving comparison on real
-// scene traffic: virtual time must not move at all.
-type parServingRow struct {
-	Network            string  `json:"network"`
-	SerialVirtualFPS   float64 `json:"serial_frames_per_virtual_sec"`
-	ParallelVirtualFPS float64 `json:"parallel_frames_per_virtual_sec"`
-	VirtualIdentical   bool    `json:"virtual_identical"`
-	RawFramesDone      uint64  `json:"raw_frames_done"`
-	RulebookHitRate    float64 `json:"rulebook_hit_rate"`
-	SavedScanElems     uint64  `json:"rulebook_saved_scan_elems"`
 }
 
 // parRulebookRow is one workload's rulebook-cache traffic.
@@ -77,12 +62,7 @@ type parBenchDoc struct {
 	HostCPUs        int              `json:"host_cpus"`
 	ProjectionModel string           `json:"projection_model"`
 	Kernels         []parKernelRow   `json:"kernels"`
-	Serving         []parServingRow  `json:"serving"`
 	Rulebook        []parRulebookRow `json:"rulebook"`
-	// ScenariosByteIdentical records that the steady scenario timeline
-	// with Parallel=8 matched the serial run byte for byte (the same
-	// property TestScenarioParallelByteIdentical gates in CI).
-	ScenariosByteIdentical bool `json:"scenarios_byte_identical"`
 }
 
 // noopTask measures the pure cost of a pool dispatch.
@@ -117,7 +97,7 @@ func parBenchInput() (*sparse.Tensor, *sparse.Filter) {
 }
 
 // projectTile computes the work-span projection for c cores: shards
-// split units with the same splitRange arithmetic the kernels use, the
+// split units with the same even contiguous partition the kernels use, the
 // largest shard bounds the span, and the measured empty-dispatch cost
 // is added on top.
 func projectTile(serialNs float64, units, cpus, shards int, overheadNs float64) float64 {
@@ -138,15 +118,25 @@ func projectTile(serialNs float64, units, cpus, shards int, overheadNs float64) 
 
 var parBenchCPUs = []int{1, 2, 4, 8}
 
-// kernelScaling measures one kernel's serial baseline and tiled runs,
-// then fills in the projections.
-func kernelScaling(t *testing.T, name, shape string, units int, serial func(b *testing.B), tiled func(pool *par.Pool, shards int) func(b *testing.B)) parKernelRow {
+// kernelScaling measures one kernel on a nil pool and on pools of
+// each width in parBenchCPUs, then fills in the projections.
+func kernelScaling(t *testing.T, name, shape string, units int, run func(pool *par.Pool) error) parKernelRow {
 	t.Helper()
+	bench := func(pool *par.Pool) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := run(pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	row := parKernelRow{Kernel: name, Shape: shape, Units: units}
-	row.SerialNsPerOp = benchNs(serial)
+	row.SerialNsPerOp = benchNs(bench(nil))
 	for _, c := range parBenchCPUs {
 		pool := par.New(c)
-		shards := 2 * c
+		// The kernels split their rows into 2 x width ranges.
+		shards := min(2*c, units)
 		overhead := 0.0
 		if c > 1 {
 			overhead = benchNs(func(b *testing.B) {
@@ -158,7 +148,7 @@ func kernelScaling(t *testing.T, name, shape string, units int, serial func(b *t
 		tile := parTile{
 			CPUs:             c,
 			Shards:           shards,
-			MeasuredNsPerOp:  benchNs(tiled(pool, shards)),
+			MeasuredNsPerOp:  benchNs(bench(pool)),
 			ProjectedNsPerOp: projectTile(row.SerialNsPerOp, units, c, shards, overhead),
 		}
 		tile.ProjectedSpeedup = row.SerialNsPerOp / tile.ProjectedNsPerOp
@@ -168,54 +158,42 @@ func kernelScaling(t *testing.T, name, shape string, units int, serial func(b *t
 	return row
 }
 
-// sceneWorkload streams preset scene traffic through a ManualDrain
-// server and returns the final session snapshot.
-func sceneWorkload(t *testing.T, network string, parallel int) *serve.SessionSnapshot {
+// sceneRulebook observes a preset scene's E2SF frames (the offline
+// pipeline's conversion for network) through a rulebook cache.
+func sceneRulebook(t *testing.T, network string) parRulebookRow {
 	t.Helper()
-	cfg := serve.DefaultConfig()
-	cfg.ManualDrain = true
-	cfg.Parallel = parallel
-	srv, err := serve.New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer srv.Close()
-	sess, err := srv.CreateSession(serve.SessionConfig{Network: network, Level: 2})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
 	net := nn.MustByName(network)
 	seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 17)
 	if err != nil {
 		t.Fatalf("NewSequence: %v", err)
 	}
-	const dur, chunk = 400_000, 20_000
+	const dur = 400_000
 	stream, err := seq.Generate(dur)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	for t0 := int64(0); t0 < dur; t0 += chunk {
-		var c *events.Stream = stream.Slice(t0, t0+chunk)
-		if c.Len() == 0 {
-			continue
-		}
-		if _, err := srv.Ingest(sess.ID, c); err != nil {
-			t.Fatalf("Ingest: %v", err)
-		}
-		srv.Pump()
-	}
-	fin, err := srv.CloseSession(sess.ID)
+	frames, _, err := pipeline.ConvertStream(net, stream, dur)
 	if err != nil {
-		t.Fatalf("CloseSession: %v", err)
+		t.Fatalf("ConvertStream: %v", err)
 	}
-	return fin
+	cache := sparse.NewRulebookCache(3, 0)
+	var saved uint64
+	for _, f := range frames {
+		as, _ := cache.Observe(f)
+		saved += uint64(f.H*f.W - as.Sites())
+	}
+	st := cache.Stats()
+	return parRulebookRow{
+		Workload: "scene/" + network, Frames: st.Frames, Hits: st.Hits, Misses: st.Misses,
+		HitRate: st.HitRate(), SitesCarried: st.SitesCarried, SitesNew: st.SitesNew,
+		SavedScanElems: saved,
+	}
 }
 
 // TestParBenchJSON emits BENCH_par.json (skipped unless BENCH_PAR_JSON
-// is set — `make bench-json` is the entry point) and asserts the
-// tentpole contracts: >= 2x projected kernel speedup at 4 cores,
-// virtual throughput unchanged to the decimal under -parallel, and a
-// >= 50% rulebook hit rate on steady coherent scene traffic.
+// is set — `make bench-json` is the entry point) and asserts its two
+// contracts: >= 2x projected kernel speedup at 4 cores, and a >= 50%
+// rulebook hit rate on steady coherent scene traffic.
 func TestParBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_PAR_JSON")
 	if path == "" {
@@ -233,57 +211,12 @@ func TestParBenchJSON(t *testing.T) {
 	outSub := sparse.NewTensor(f.OutC, in.H, in.W)
 	outConv := sparse.NewTensor(f.OutC, oh, ow)
 	doc.Kernels = append(doc.Kernels,
-		kernelScaling(t, "submanifold_conv2d", "8x2x128x128 k=3 d=5%", in.H*in.W,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := sparse.SubmanifoldConv2DInto(outSub, in, f); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(pool *par.Pool, shards int) func(b *testing.B) {
-				return func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := sparse.SubmanifoldConv2DTiledInto(outSub, in, f, pool, shards); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}),
+		kernelScaling(t, "submanifold_conv2d", "8x2x128x128 k=3 d=5%", in.H,
+			func(pool *par.Pool) error { return sparse.SubmanifoldConv2D(outSub, in, f, pool) }),
 		kernelScaling(t, "sparse_conv2d", "8x2x128x128 k=3 d=5%", oh,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := sparse.SparseConv2DInto(outConv, in, f); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(pool *par.Pool, shards int) func(b *testing.B) {
-				return func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := sparse.SparseConv2DTiledInto(outConv, in, f, pool, shards); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}),
-		kernelScaling(t, "conv2d", "8x2x128x128 k=3", f.OutC*oh*ow,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := sparse.Conv2DInto(outConv, in, f); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(pool *par.Pool, shards int) func(b *testing.B) {
-				return func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := sparse.Conv2DTiledInto(outConv, in, f, pool, shards); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}),
+			func(pool *par.Pool) error { return sparse.SparseConv2D(outConv, in, f, pool) }),
+		kernelScaling(t, "conv2d", "8x2x128x128 k=3", f.OutC*oh,
+			func(pool *par.Pool) error { return sparse.Conv2D(outConv, in, f, pool) }),
 	)
 
 	rng := rand.New(rand.NewSource(9))
@@ -307,22 +240,7 @@ func TestParBenchJSON(t *testing.T) {
 	outMat := sparse.NewMat(rows, dcols)
 	doc.Kernels = append(doc.Kernels,
 		kernelScaling(t, "csr_spmm", "512x256 d=5% x 256x16", rows,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := csr.SpMMInto(outMat, dmat); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(pool *par.Pool, shards int) func(b *testing.B) {
-				return func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := csr.SpMMTiledInto(outMat, dmat, pool, shards); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}),
+			func(pool *par.Pool) error { return csr.SpMM(outMat, dmat, pool) }),
 	)
 
 	for _, k := range doc.Kernels {
@@ -334,74 +252,14 @@ func TestParBenchJSON(t *testing.T) {
 		}
 	}
 
-	// --- Serving: virtual time must not move ---
+	// --- Rulebook cache on E2SF scene frames ---
 	for _, network := range []string{nn.DOTIE, nn.SpikeFlowNet} {
-		serial := sceneWorkload(t, network, 0)
-		tiled := sceneWorkload(t, network, 8)
-		row := parServingRow{
-			Network:            network,
-			SerialVirtualFPS:   serial.ThroughputFPS,
-			ParallelVirtualFPS: tiled.ThroughputFPS,
-			VirtualIdentical:   serial.ThroughputFPS == tiled.ThroughputFPS && serial.RawFramesDone == tiled.RawFramesDone,
-			RawFramesDone:      tiled.RawFramesDone,
-		}
-		if rb := tiled.Rulebook; rb != nil {
-			row.RulebookHitRate = rb.HitRate
-			row.SavedScanElems = rb.SavedScanElems
-			doc.Rulebook = append(doc.Rulebook, parRulebookRow{
-				Workload: "scene/" + network, Frames: rb.Frames, Hits: rb.Hits, Misses: rb.Misses,
-				HitRate: rb.HitRate, SitesCarried: rb.SitesCarried, SitesNew: rb.SitesNew,
-				SavedScanElems: rb.SavedScanElems,
-			})
-		}
-		if !row.VirtualIdentical {
-			t.Errorf("%s: parallel serving moved virtual throughput %.6f -> %.6f",
-				network, serial.ThroughputFPS, tiled.ThroughputFPS)
-		}
-		doc.Serving = append(doc.Serving, row)
+		doc.Rulebook = append(doc.Rulebook, sceneRulebook(t, network))
 	}
 	// Steady coherent scene traffic (DOTIE tracks a spinning target at
 	// 1ms bins) must ride the delta path at least half the time.
 	if doc.Rulebook[0].HitRate < 0.5 {
 		t.Errorf("steady scene rulebook hit rate %.2f < 0.5: %+v", doc.Rulebook[0].HitRate, doc.Rulebook[0])
-	}
-
-	// --- Scenario traffic (uniform-random synthetic events: the
-	// worst case for temporal coherence — every frame looks like a
-	// scene cut, so the cache degrades to rebuild-per-frame without
-	// ever corrupting results) plus the byte-identity check. ---
-	for _, name := range []string{"steady", "dynamics-flip"} {
-		sc, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Parallel = 8
-		res, err := Run(sc, 42)
-		if err != nil {
-			t.Fatalf("Run(%s): %v", name, err)
-		}
-		rb := res.Rulebook
-		doc.Rulebook = append(doc.Rulebook, parRulebookRow{
-			Workload: "scenario/" + name, Frames: rb.Frames, Hits: rb.Hits, Misses: rb.Misses,
-			HitRate: rb.HitRate(), SitesCarried: rb.SitesCarried, SitesNew: rb.SitesNew,
-			SavedScanElems: rb.SavedScanElems,
-		})
-		if name == "steady" {
-			serialSc, err := Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sres, err := Run(serialSc, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ja, _ := sres.Encode()
-			jb, _ := res.Encode()
-			doc.ScenariosByteIdentical = bytes.Equal(ja, jb)
-			if !doc.ScenariosByteIdentical {
-				t.Error("steady scenario timeline diverged under Parallel=8")
-			}
-		}
 	}
 
 	data, err := json.MarshalIndent(doc, "", "  ")

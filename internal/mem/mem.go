@@ -178,7 +178,7 @@ func (p *TensorPool) Stats() PoolStats {
 type matShape struct{ rows, cols int }
 
 // MatPool free-lists dense matrices by exact shape. Like TensorPool,
-// returned contents are unspecified; SpMMInto overwrites fully.
+// returned contents are unspecified; CSR.SpMM overwrites fully.
 type MatPool struct {
 	mu    sync.Mutex
 	free  map[matShape][]*sparse.Mat
@@ -294,64 +294,6 @@ func (p *CSRPool) Stats() PoolStats {
 	return p.stats
 }
 
-// ActiveSetPool free-lists rulebook active sets (see sparse.ActiveSet).
-// Get returns an empty set retargeted to the requested shape whose
-// site slices keep the capacity of their previous use; serve wires
-// Get/Put into RulebookCache's Borrow/Release hooks so steady-state
-// rulebook maintenance allocates nothing.
-type ActiveSetPool struct {
-	mu    sync.Mutex
-	free  []*sparse.ActiveSet
-	inSet map[*sparse.ActiveSet]struct{}
-	stats PoolStats
-}
-
-// NewActiveSetPool returns an empty pool.
-func NewActiveSetPool() *ActiveSetPool {
-	return &ActiveSetPool{inSet: map[*sparse.ActiveSet]struct{}{}}
-}
-
-// Get borrows an empty h x w active set for K x K windows.
-func (p *ActiveSetPool) Get(h, w, k int) *sparse.ActiveSet {
-	p.mu.Lock()
-	p.stats.Gets++
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		delete(p.inSet, a)
-		p.mu.Unlock()
-		a.Reset(h, w, k)
-		return a
-	}
-	p.stats.News++
-	p.mu.Unlock()
-	return sparse.NewActiveSet(h, w, k)
-}
-
-// Put returns an active set; double release panics.
-func (p *ActiveSetPool) Put(a *sparse.ActiveSet) {
-	if a == nil {
-		panic("mem: Put of nil active set")
-	}
-	p.mu.Lock()
-	if _, dup := p.inSet[a]; dup {
-		p.mu.Unlock()
-		panic("mem: double release of sparse.ActiveSet")
-	}
-	p.stats.Puts++
-	p.inSet[a] = struct{}{}
-	p.free = append(p.free, a)
-	p.mu.Unlock()
-}
-
-// Stats snapshots the counters.
-func (p *ActiveSetPool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
 // Pool is a generic free list for consumer-defined structs (pipeline
 // invocations, scheduler requests, dispatch payloads). The reset hook
 // runs on every Get — including the allocating first one — so borrowed
@@ -420,47 +362,42 @@ func (p *Pool[T]) Stats() PoolStats {
 // frames flow ingest→DSFA→dispatch→release regardless of which session
 // produced them, so one free list per type maximizes reuse.
 type Arena struct {
-	Frames     *FramePool
-	Tensors    *TensorPool
-	Mats       *MatPool
-	CSRs       *CSRPool
-	ActiveSets *ActiveSetPool
+	Frames  *FramePool
+	Tensors *TensorPool
+	Mats    *MatPool
+	CSRs    *CSRPool
 }
 
 // NewArena returns an arena with empty pools.
 func NewArena() *Arena {
 	return &Arena{
-		Frames:     NewFramePool(),
-		Tensors:    NewTensorPool(),
-		Mats:       NewMatPool(),
-		CSRs:       NewCSRPool(),
-		ActiveSets: NewActiveSetPool(),
+		Frames:  NewFramePool(),
+		Tensors: NewTensorPool(),
+		Mats:    NewMatPool(),
+		CSRs:    NewCSRPool(),
 	}
 }
 
 // ArenaStats is the per-pool counter snapshot plus the total.
 type ArenaStats struct {
-	Frames     PoolStats `json:"frames"`
-	Tensors    PoolStats `json:"tensors"`
-	Mats       PoolStats `json:"mats"`
-	CSRs       PoolStats `json:"csrs"`
-	ActiveSets PoolStats `json:"active_sets"`
-	Total      PoolStats `json:"total"`
+	Frames  PoolStats `json:"frames"`
+	Tensors PoolStats `json:"tensors"`
+	Mats    PoolStats `json:"mats"`
+	CSRs    PoolStats `json:"csrs"`
+	Total   PoolStats `json:"total"`
 }
 
 // Stats snapshots every pool.
 func (a *Arena) Stats() ArenaStats {
 	st := ArenaStats{
-		Frames:     a.Frames.Stats(),
-		Tensors:    a.Tensors.Stats(),
-		Mats:       a.Mats.Stats(),
-		CSRs:       a.CSRs.Stats(),
-		ActiveSets: a.ActiveSets.Stats(),
+		Frames:  a.Frames.Stats(),
+		Tensors: a.Tensors.Stats(),
+		Mats:    a.Mats.Stats(),
+		CSRs:    a.CSRs.Stats(),
 	}
 	st.Total.add(st.Frames)
 	st.Total.add(st.Tensors)
 	st.Total.add(st.Mats)
 	st.Total.add(st.CSRs)
-	st.Total.add(st.ActiveSets)
 	return st
 }

@@ -174,10 +174,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		tn := a.Tensors.Get(2, 16, 16)
 		m := a.Mats.Get(4, 4)
 		c := a.CSRs.Get(4, 4)
-		as := a.ActiveSets.Get(16, 16, 3)
 		r := gp.Get()
 		gp.Put(r)
-		a.ActiveSets.Put(as)
 		a.CSRs.Put(c)
 		a.Mats.Put(m)
 		a.Tensors.Put(tn)
@@ -194,44 +192,13 @@ func TestArenaStatsTotal(t *testing.T) {
 	a := NewArena()
 	f := a.Frames.Get(2, 2, 0, 1)
 	tn := a.Tensors.Get(1, 2, 2)
-	as := a.ActiveSets.Get(2, 2, 3)
 	a.Frames.Put(f)
 	a.Tensors.Put(tn)
-	a.ActiveSets.Put(as)
 	st := a.Stats()
-	if st.Total.Gets != 3 || st.Total.Puts != 3 || st.Total.News != 3 {
+	if st.Total.Gets != 2 || st.Total.Puts != 2 || st.Total.News != 2 {
 		t.Fatalf("total = %+v", st.Total)
 	}
-	if st.ActiveSets.Gets != 1 {
-		t.Fatalf("active set stats = %+v", st.ActiveSets)
+	if st.Tensors.Gets != 1 {
+		t.Fatalf("tensor stats = %+v", st.Tensors)
 	}
-}
-
-// TestActiveSetPoolReuse: a returned set comes back retargeted and
-// empty while keeping slice capacity; double release panics.
-func TestActiveSetPoolReuse(t *testing.T) {
-	p := NewActiveSetPool()
-	a := p.Get(8, 8, 3)
-	tn := sparse.NewTensor(1, 8, 8)
-	tn.Set(0, 3, 4, 1)
-	tn.Set(0, 5, 5, 1)
-	a.BuildFromTensor(tn, 3)
-	if a.Sites() != 2 {
-		t.Fatalf("built %d sites, want 2", a.Sites())
-	}
-	p.Put(a)
-	b := p.Get(4, 4, 5)
-	if b != a {
-		t.Fatal("pool allocated instead of reusing")
-	}
-	if b.Sites() != 0 || b.H != 4 || b.W != 4 || b.K != 5 {
-		t.Fatalf("reused set not reset: %d sites, %dx%d k=%d", b.Sites(), b.H, b.W, b.K)
-	}
-	p.Put(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	p.Put(b)
 }

@@ -247,7 +247,7 @@ func TestRuntimeParallelBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", n.Name, err)
 			}
-			parr.SetParallel(pool, 0)
+			parr.SetParallel(pool)
 			ins := runtimeInputs(serial, 13, 0.1)
 			a, err := serial.Forward(ins)
 			if err != nil {

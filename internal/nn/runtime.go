@@ -37,12 +37,11 @@ type Runtime struct {
 	// channel counts are preserved.
 	spatialDiv int
 
-	// pool/shards route convolutions through the tiled kernels when a
-	// worker pool is wired in via SetParallel. Tiled kernels are
-	// bit-identical to the serial ones, so the runtime's outputs do not
-	// depend on whether or how wide parallelism is enabled.
-	pool   *par.Pool
-	shards int
+	// pool, when set via SetParallel, splits every convolution's rows
+	// across workers. The kernels are bit-identical for every pool
+	// width, so outputs do not depend on whether or how wide
+	// parallelism is enabled.
+	pool *par.Pool
 }
 
 // NewRuntime builds a runtime with weights drawn from seed. spatialDiv
@@ -182,38 +181,25 @@ func (rt *Runtime) execLayer(l *Layer, in *sparse.Tensor) (*sparse.Tensor, error
 }
 
 // SetParallel wires a worker pool into the runtime's convolution
-// kernels. shards is the work-partition count per dispatch (<= 0 uses
-// twice the pool width, which keeps shards fine enough to balance
-// uneven rows). A nil pool restores the serial path. Outputs are
+// kernels; a nil pool restores the serial path. Outputs are
 // bit-identical either way.
-func (rt *Runtime) SetParallel(pool *par.Pool, shards int) {
-	if shards <= 0 {
-		shards = 2 * pool.Size()
-	}
-	rt.pool, rt.shards = pool, shards
-}
+func (rt *Runtime) SetParallel(pool *par.Pool) { rt.pool = pool }
 
 func (rt *Runtime) conv(l *Layer, in *sparse.Tensor) (*sparse.Tensor, error) {
 	f := rt.filters[l.ID]
-	if rt.pool.Size() > 1 {
-		if oh, ow := f.OutShape(in.H, in.W); oh > 0 && ow > 0 {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			var err error
-			if rt.Mode == SparseExec {
-				err = sparse.SparseConv2DTiledInto(out, in, f, rt.pool, rt.shards)
-			} else {
-				err = sparse.Conv2DTiledInto(out, in, f, rt.pool, rt.shards)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
+	oh, ow := f.OutShape(in.H, in.W)
+	if oh <= 0 || ow <= 0 {
+		return nil, fmt.Errorf("conv output %dx%d is empty", oh, ow)
 	}
+	out := sparse.NewTensor(f.OutC, oh, ow)
+	kernel := sparse.Conv2D
 	if rt.Mode == SparseExec {
-		return sparse.SparseConv2D(in, f)
+		kernel = sparse.SparseConv2D
 	}
-	return sparse.Conv2D(in, f)
+	if err := kernel(out, in, f, rt.pool); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // execLIF runs leaky integrate-and-fire dynamics over the layer's

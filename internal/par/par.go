@@ -1,15 +1,15 @@
-// Package par is the engine-shared bounded worker pool behind the
-// tiled compute kernels: one pool per serving node, sized from
-// GOMAXPROCS, executing sharded tasks with zero steady-state heap
-// allocations per dispatch.
+// Package par is the bounded worker pool behind the sparse kernels'
+// row-range split: a pool sized from GOMAXPROCS (or a given width)
+// executing sharded tasks with zero steady-state heap allocations per
+// dispatch.
 //
 // The design goal is determinism-compatible parallelism. A Task
 // partitions its work into shards over DISJOINT output ranges; the
 // pool only decides which goroutine runs which shard, never the
-// arithmetic order within one shard. Kernels built this way (see
-// sparse's tiled variants) produce bit-identical results to their
-// serial counterparts regardless of worker count or scheduling, which
-// is what keeps scenario replay byte-identical when parallelism is on.
+// arithmetic order within one shard. Kernels built this way (see the
+// sparse package's kernel entry points) produce bit-identical results
+// for every pool width and schedule, so turning parallelism on can
+// only change host wall-clock time, never a result.
 //
 // Allocation discipline mirrors internal/mem: dispatch records are
 // free-listed and reused, the completion channel is reused across

@@ -106,6 +106,8 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 			if err != nil {
 				return nil, err
 			}
+		} else if err := stream.Validate(); err != nil {
+			return nil, fmt.Errorf("pipeline: task %d (%s) stream: %w", t, net.Name, err)
 		}
 		frames, _, err := ConvertStream(net, stream, cfg.DurUS)
 		if err != nil {

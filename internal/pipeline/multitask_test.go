@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"evedge/internal/events"
@@ -81,6 +82,23 @@ func TestRunMultiTaskValidation(t *testing.T) {
 		Scale: scene.Half, DurUS: 200_000, Seed: 1,
 	}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestRunMultiTaskRejectsUnsortedStream: caller-supplied streams are
+// validated like Run's, so an out-of-order one is an ErrOrder.
+func TestRunMultiTaskRejectsUnsortedStream(t *testing.T) {
+	nets := multiNets(nn.DOTIE)
+	platform := hw.Xavier()
+	s := events.NewStream(32, 24)
+	s.Append(events.Event{TS: 50, X: 1, Y: 1, Pol: events.On})
+	s.Append(events.Event{TS: 10, X: 2, Y: 2, Pol: events.On})
+	_, err := RunMultiTask(MultiTaskConfig{
+		Nets: nets, Platform: platform, Assignment: multiAssignment(t, nets, platform, "gpu"),
+		Streams: []*events.Stream{s}, DurUS: 100_000,
+	})
+	if !errors.Is(err, events.ErrOrder) {
+		t.Fatalf("unsorted stream: err = %v, want ErrOrder", err)
 	}
 }
 

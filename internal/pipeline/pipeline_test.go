@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"evedge/internal/dsfa"
+	"evedge/internal/events"
 	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/quant"
@@ -31,32 +33,40 @@ func quickRun(t *testing.T, name string, lvl Level) *Report {
 	return rep
 }
 
-// TestPlanSlotCarriesExecutionState: Swap must carry FramingOps and
-// Parallel (execution state) into the new plan, and Equal must ignore
-// both so no-op remaps aren't counted.
+// TestPlanSlotCarriesExecutionState: Swap must carry FramingOps
+// (execution state) into the new plan, and Equal must ignore it so
+// no-op remaps aren't counted.
 func TestPlanSlotCarriesExecutionState(t *testing.T) {
 	a := &ExecPlan{Device: []int{0, 1}, Prec: []nn.Precision{nn.FP16, nn.FP16}}
 	s := NewPlanSlot(a)
 	s.SetFramingOps(77)
-	s.SetParallel(4)
 	b := &ExecPlan{Device: []int{1, 0}, Prec: []nn.Precision{nn.FP32, nn.FP16}}
 	s.Swap(b)
-	if got := s.Load(); got.FramingOps != 77 || got.Parallel != 4 {
-		t.Fatalf("swap dropped execution state: framing=%d parallel=%d", got.FramingOps, got.Parallel)
+	if got := s.Load(); got.FramingOps != 77 {
+		t.Fatalf("swap dropped execution state: framing=%d", got.FramingOps)
 	}
-	if s.Parallel() != 4 {
-		t.Fatalf("Parallel() = %d, want 4", s.Parallel())
-	}
-	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, Parallel: 8, FramingOps: 1}
+	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, FramingOps: 1}
 	y := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}}
 	if !x.Equal(y) {
-		t.Fatal("Equal must ignore Parallel and FramingOps")
+		t.Fatal("Equal must ignore FramingOps")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("nil network accepted")
+	}
+}
+
+// TestRunRejectsInvalidStream: a caller-supplied event outside the
+// sensor geometry must fail validation, not land on a wrong pixel.
+func TestRunRejectsInvalidStream(t *testing.T) {
+	s := events.NewStream(32, 24)
+	s.Append(events.Event{TS: 10, X: 3, Y: 4, Pol: events.On})
+	s.Append(events.Event{TS: 20, X: 32, Y: 4, Pol: events.Off}) // x == width
+	_, err := Run(Config{Net: nn.MustByName(nn.DOTIE), Stream: s, DurUS: 100_000})
+	if !errors.Is(err, events.ErrGeometry) {
+		t.Fatalf("out-of-geometry stream: err = %v, want ErrGeometry", err)
 	}
 }
 

@@ -26,17 +26,11 @@ type ExecPlan struct {
 	// FramingOps charges the baseline's dense event-frame construction
 	// (element stores per frame) to the first layer of every invocation.
 	FramingOps int64
-	// Parallel is the worker-pool width the numeric kernels may use
-	// (<= 1 means serial). Like FramingOps it is execution state, not a
-	// mapping decision: tiled kernels are bit-identical to serial ones,
-	// so the analytic pricing and the replay stream are unaffected.
-	Parallel int
 }
 
 // Equal reports whether two plans map every layer to the same device
-// and precision (framing overhead, the sparse flag, and the parallel
-// width excluded — they are representation/execution state, not
-// mapping decisions). The control plane uses it to skip counting
+// and precision (framing overhead and the sparse flag excluded — they
+// are representation/execution state, not mapping decisions). The control plane uses it to skip counting
 // no-op plan installs as remaps.
 func (p *ExecPlan) Equal(o *ExecPlan) bool {
 	if p == nil || o == nil {
@@ -98,13 +92,12 @@ func (s *PlanSlot) Load() *ExecPlan {
 	return s.plan
 }
 
-// Swap installs a new plan, carrying the framing overhead and
-// parallel width over from the old one, and counts the remap.
+// Swap installs a new plan, carrying the framing overhead over from
+// the old one, and counts the remap.
 func (s *PlanSlot) Swap(p *ExecPlan) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.FramingOps = s.plan.FramingOps
-	p.Parallel = s.plan.Parallel
 	s.plan = p
 	s.swaps++
 }
@@ -129,21 +122,6 @@ func (s *PlanSlot) FramingOps() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plan.FramingOps
-}
-
-// SetParallel records the kernel worker-pool width the serving layer
-// granted this session; it survives remaps like FramingOps does.
-func (s *PlanSlot) SetParallel(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plan.Parallel = n
-}
-
-// Parallel reads the current worker-pool width.
-func (s *PlanSlot) Parallel() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan.Parallel
 }
 
 // PlanFromAssignment extracts task t's slice of a multi-task mapper

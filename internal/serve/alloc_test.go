@@ -33,18 +33,8 @@ type allocHarness struct {
 
 func newAllocHarness(tb testing.TB) *allocHarness {
 	tb.Helper()
-	return newAllocHarnessParallel(tb, 0)
-}
-
-// newAllocHarnessParallel is newAllocHarness with the kernel worker
-// pool and per-session rulebook cache enabled, so the zero-alloc gate
-// also covers the parallel path's per-frame work (rulebook Observe,
-// ActiveSet pool traffic).
-func newAllocHarnessParallel(tb testing.TB, parallel int) *allocHarness {
-	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.ManualDrain = true
-	cfg.Parallel = parallel
 	srv, err := New(cfg)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
@@ -108,26 +98,6 @@ func TestAllocRegression(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionParallel is the same gate over a parallel server:
-// once the ActiveSet pool and the rulebook cache's double buffers reach
-// steady capacity, per-frame rulebook upkeep (coverage probe, delta
-// merge, saved-scan accounting) must be allocation-free too.
-func TestAllocRegressionParallel(t *testing.T) {
-	h := newAllocHarnessParallel(t, 4)
-	defer h.srv.Close()
-	for i := 0; i < 12; i++ {
-		h.cycle(t)
-	}
-	avg := testing.AllocsPerRun(50, func() { h.cycle(t) })
-	if raceEnabled {
-		t.Logf("race build: measured %.2f allocs/op (bound not enforced)", avg)
-		return
-	}
-	if avg != 0 {
-		t.Fatalf("steady-state parallel serve cycle allocates: got %.2f allocs/op, want 0", avg)
-	}
-}
-
 // BenchmarkServeCycle is the -benchmem view of the same loop, for
 // debugging when TestAllocRegression trips.
 func BenchmarkServeCycle(b *testing.B) {
@@ -187,12 +157,12 @@ func allocFilter(outC, inC, k int) *sparse.Filter {
 	return f
 }
 
-// collectAllocStages measures every hot-path stage, unfused-vs-fused
-// and fresh-vs-pooled side by side. Shared by the artifact emitter
+// collectAllocStages measures every hot-path stage, each kernel on a
+// nil pool and on a worker pool. Shared by the artifact emitter
 // (TestAllocBenchJSON) and the regression gate (TestAllocSmoke).
 func collectAllocStages(t *testing.T) []allocStage {
-	// E2SF conversion: the legacy per-frame Convert loop vs the fused
-	// one-pass pooled kernel, over the same synthetic chunk.
+	// E2SF conversion: the fused one-pass kernel drawing its frames
+	// from a pool, over a synthetic chunk.
 	const span = 100_000
 	seq, err := scene.NewSequence(scene.IndoorFlying2, scene.Half, 3)
 	if err != nil {
@@ -203,19 +173,7 @@ func collectAllocStages(t *testing.T) []allocStage {
 		t.Fatalf("Generate: %v", err)
 	}
 	cfg := e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 5}
-	conv, err := e2sf.New(cfg)
-	if err != nil {
-		t.Fatalf("e2sf.New: %v", err)
-	}
 	stages := []allocStage{
-		benchStage("e2sf_convert_unfused", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := conv.Convert(stream, 0, span); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
 		benchStage("e2sf_convert_fused_pooled", func(b *testing.B) {
 			pool := mem.NewFramePool()
 			fz, err := e2sf.NewFused(cfg, pool)
@@ -237,95 +195,29 @@ func collectAllocStages(t *testing.T) []allocStage {
 		}),
 	}
 
-	// Sparse conv + SpMM: fresh-allocation entry points vs the Into
-	// variants writing into preallocated outputs.
+	// Sparse kernels with a nil pool (the serial body over all rows)
+	// and on a warm worker pool: after the first dispatch the pool's
+	// free-listed dispatch records and sync.Pool'd task structs are at
+	// steady capacity, so pooled runs must allocate exactly as much as
+	// serial ones — nothing.
 	in := allocDenseInput(2, 64, 64, 0.05)
 	f := allocFilter(8, 2, 3)
 	oh, ow := f.OutShape(in.H, in.W)
-	stages = append(stages,
-		benchStage("sparse_conv2d", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.SparseConv2D(in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("sparse_conv2d_into", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SparseConv2DInto(out, in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.SubmanifoldConv2D(in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d_into", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DInto(out, in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-	)
-
-	// Tiled variants on a warm worker pool: after the first dispatch
-	// the pool's free-listed dispatch records and sync.Pool'd task
-	// structs are at steady capacity, so sharded runs must allocate
-	// exactly as much as their serial counterparts — nothing.
+	as := sparse.NewActiveSet(in.H, in.W, f.K)
+	as.BuildFromTensor(in, f.K)
 	pool := par.New(4)
 	t.Cleanup(pool.Close)
 	stages = append(stages,
-		benchStage("sparse_conv2d_tiled", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			if err := sparse.SparseConv2DTiledInto(out, in, f, pool, 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SparseConv2DTiledInto(out, in, f, pool, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d_tiled", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			if err := sparse.SubmanifoldConv2DTiledInto(out, in, f, pool, 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DTiledInto(out, in, f, pool, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_sites", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			as := sparse.NewActiveSet(in.H, in.W, f.K)
-			as.BuildFromTensor(in, f.K)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DSites(out, in, f, as); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
+		kernelStage("sparse_conv2d_into", nil, sparse.NewTensor(f.OutC, oh, ow),
+			func(out *sparse.Tensor, p *par.Pool) error { return sparse.SparseConv2D(out, in, f, p) }),
+		kernelStage("submanifold_conv2d_into", nil, sparse.NewTensor(f.OutC, in.H, in.W),
+			func(out *sparse.Tensor, p *par.Pool) error { return sparse.SubmanifoldConv2D(out, in, f, p) }),
+		kernelStage("sparse_conv2d_tiled", pool, sparse.NewTensor(f.OutC, oh, ow),
+			func(out *sparse.Tensor, p *par.Pool) error { return sparse.SparseConv2D(out, in, f, p) }),
+		kernelStage("submanifold_conv2d_tiled", pool, sparse.NewTensor(f.OutC, in.H, in.W),
+			func(out *sparse.Tensor, p *par.Pool) error { return sparse.SubmanifoldConv2D(out, in, f, p) }),
+		kernelStage("submanifold_sites", nil, sparse.NewTensor(f.OutC, in.H, in.W),
+			func(out *sparse.Tensor, p *par.Pool) error { return sparse.SubmanifoldConv2DSites(out, in, f, as, p) }),
 		benchStage("rulebook_observe", func(b *testing.B) {
 			// Two drifted frames alternating: every Observe after warm-up
 			// takes the delta path with buffers at steady capacity.
@@ -371,37 +263,10 @@ func collectAllocStages(t *testing.T) []allocStage {
 		dmat.Data[i] = rng.Float32()
 	}
 	stages = append(stages,
-		benchStage("csr_spmm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := csr.SpMM(dmat); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("csr_spmm_into", func(b *testing.B) {
-			out := sparse.NewMat(rows, dcols)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := csr.SpMMInto(out, dmat); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("csr_spmm_tiled", func(b *testing.B) {
-			out := sparse.NewMat(rows, dcols)
-			if err := csr.SpMMTiledInto(out, dmat, pool, 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := csr.SpMMTiledInto(out, dmat, pool, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
+		kernelStage("csr_spmm_into", nil, sparse.NewMat(rows, dcols),
+			func(out *sparse.Mat, p *par.Pool) error { return csr.SpMM(out, dmat, p) }),
+		kernelStage("csr_spmm_tiled", pool, sparse.NewMat(rows, dcols),
+			func(out *sparse.Mat, p *par.Pool) error { return csr.SpMM(out, dmat, p) }),
 	)
 
 	// The end-to-end serving cycle — the number TestAllocRegression
@@ -419,21 +284,24 @@ func collectAllocStages(t *testing.T) []allocStage {
 		}
 	}))
 
-	// The same cycle on a parallel server: adds per-frame rulebook
-	// upkeep and ActiveSet pool traffic to the loop.
-	stages = append(stages, benchStage("serve_ingest_pump_parallel", func(b *testing.B) {
-		h := newAllocHarnessParallel(b, 4)
-		defer h.srv.Close()
-		for i := 0; i < 12; i++ {
-			h.cycle(b)
+	return stages
+}
+
+// kernelStage measures one kernel call writing into out on pool, after
+// a warm-up call.
+func kernelStage[T any](name string, pool *par.Pool, out T, run func(out T, pool *par.Pool) error) allocStage {
+	return benchStage(name, func(b *testing.B) {
+		if err := run(out, pool); err != nil {
+			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h.cycle(b)
+			if err := run(out, pool); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}))
-	return stages
+	})
 }
 
 // allocDoc is the BENCH_alloc.json schema.

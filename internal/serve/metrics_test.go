@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"evedge/internal/nn"
 	"evedge/internal/obs"
 )
 
@@ -202,4 +204,48 @@ func TestQuantileBounds(t *testing.T) {
 func ExamplePromLabels() {
 	fmt.Println(PromLabels("session", "s1", "network", "DOTIE"))
 	// Output: session="s1",network="DOTIE"
+}
+
+// TestSerialServerHasNoRulebook pins what serving does not do: it runs
+// no numeric kernels, so it keeps no per-session rulebook, exposes no
+// kernel or rulebook metric families and no active-set pool row, and
+// final snapshots carry no rulebook section.
+func TestSerialServerHasNoRulebook(t *testing.T) {
+	srv, cl, stop := newTestServer(t, Config{Workers: 1})
+	defer stop()
+
+	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	const dur = 100_000
+	net := nn.MustByName(nn.DOTIE)
+	stream := genStream(t, net.Input.Preset, 17, dur)
+	for _, c := range chunks(stream, dur, 20_000) {
+		if _, err := cl.SendEvents(snap.ID, c); err != nil {
+			t.Fatalf("SendEvents: %v", err)
+		}
+	}
+	fin, err := cl.CloseSession(snap.ID)
+	if err != nil {
+		t.Fatalf("CloseSession: %v", err)
+	}
+	raw, err := json.Marshal(fin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "rulebook") {
+		t.Fatalf("final snapshot carries a rulebook section: %s", raw)
+	}
+	pw := NewPromWriter()
+	srv.WriteMetrics(pw, "test", "")
+	text := pw.String()
+	for _, avoid := range []string{"test_kernel_", "test_rulebook_", `pool="active_sets"`} {
+		if strings.Contains(text, avoid) {
+			t.Errorf("metrics exposition still has %q", avoid)
+		}
+	}
+	if !strings.Contains(text, `test_pool_gets_total{pool="frames"}`) {
+		t.Error("metrics exposition lost the arena pool rows")
+	}
 }

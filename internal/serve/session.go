@@ -104,23 +104,6 @@ type SessionSnapshot struct {
 	// Migrations counts cluster-initiated moves to another node (set by
 	// the fleet router, like Node and the failover fields).
 	Migrations int `json:"migrations,omitempty"`
-	// Rulebook reports the temporal-coherence rulebook cache's traffic
-	// (nil when the node runs without Config.Parallel).
-	Rulebook *RulebookSnapshot `json:"rulebook,omitempty"`
-}
-
-// RulebookSnapshot is the session's rulebook-cache traffic: how often
-// the previous frame's active-site structure was delta-revalidated
-// instead of rebuilt, and how many dense activity-scan elements the
-// cached rulebooks saved across the session's submanifold layers.
-type RulebookSnapshot struct {
-	Frames         uint64  `json:"frames"`
-	Hits           uint64  `json:"hits"`
-	Misses         uint64  `json:"misses"`
-	HitRate        float64 `json:"hit_rate"`
-	SitesCarried   uint64  `json:"sites_carried"`
-	SitesNew       uint64  `json:"sites_new"`
-	SavedScanElems uint64  `json:"saved_scan_elems"`
 }
 
 // Session is one client's stream bound to a network and an
@@ -199,14 +182,6 @@ type Session struct {
 	// lastDSFADrops is the aggregator drop count already emitted as
 	// trace instants, so each execute pass marks only the delta.
 	lastDSFADrops uint64
-	// rulebook carries the session's active-site structure across
-	// frames (nil when the node runs serial). Observed in execute under
-	// mu; subLayers is the session network's count of
-	// submanifold-eligible layers and rbSaved the accumulated dense
-	// scan elements those layers skip by reusing the rulebook.
-	rulebook  *sparse.RulebookCache
-	subLayers int
-	rbSaved   uint64
 }
 
 // newSession builds a session. The arena and invocation pool wire the
@@ -356,18 +331,6 @@ func (s *Session) snapshotLocked() SessionSnapshot {
 	if s.retuner != nil {
 		snap.Retunes = s.retuner.Retunes()
 	}
-	if s.rulebook != nil {
-		rst := s.rulebook.Stats()
-		snap.Rulebook = &RulebookSnapshot{
-			Frames:         rst.Frames,
-			Hits:           rst.Hits,
-			Misses:         rst.Misses,
-			HitRate:        rst.HitRate(),
-			SitesCarried:   rst.SitesCarried,
-			SitesNew:       rst.SitesNew,
-			SavedScanElems: s.rbSaved,
-		}
-	}
 	if s.invocs > 0 {
 		snap.MergeRatio = float64(s.rawDone) / float64(s.invocs)
 	}
@@ -475,10 +438,9 @@ func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) 
 }
 
 // convertWindows frames every accumulation window fully covered by the
-// watermark, exactly as the offline ConvertStream does. The fused
-// kernel replaces the Convert→GroupBins pair with one pass over the
-// window's events; the returned slice is converter-owned scratch,
-// valid until the next ingest.
+// watermark, exactly as the offline ConvertStream does, with the same
+// fused kernel (drawing its frames from the arena); the returned slice
+// is converter-owned scratch, valid until the next ingest.
 func (c *ingestConverter) convertWindows() ([]*sparse.Frame, error) {
 	out := c.frames[:0]
 	var err error

@@ -3,6 +3,8 @@ package sparse
 import (
 	"math/rand"
 	"testing"
+
+	"evedge/internal/par"
 )
 
 // benchInput builds a 64x64 input tensor with ~density fraction of
@@ -31,75 +33,60 @@ func benchFilter(outC, inC, k int) *Filter {
 	return f
 }
 
+// benchPools runs run as a "serial" (nil pool) and a "pool" (width 2)
+// sub-benchmark.
+func benchPools(b *testing.B, run func(pool *par.Pool) error) {
+	pool := par.New(2)
+	defer pool.Close()
+	for _, c := range []struct {
+		name string
+		pool *par.Pool
+	}{{"serial", nil}, {"pool", pool}} {
+		b.Run(c.name, func(b *testing.B) {
+			if err := run(c.pool); err != nil { // warm the pool's free lists
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := run(c.pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.1)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Conv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		oh, ow := f.OutShape(in.H, in.W)
-		out := NewTensor(f.OutC, oh, ow)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Conv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	oh, ow := f.OutShape(in.H, in.W)
+	out := NewTensor(f.OutC, oh, ow)
+	benchPools(b, func(pool *par.Pool) error { return Conv2D(out, in, f, pool) })
 }
 
 func BenchmarkSparseConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.05)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SparseConv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		oh, ow := f.OutShape(in.H, in.W)
-		out := NewTensor(f.OutC, oh, ow)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := SparseConv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	oh, ow := f.OutShape(in.H, in.W)
+	out := NewTensor(f.OutC, oh, ow)
+	benchPools(b, func(pool *par.Pool) error { return SparseConv2D(out, in, f, pool) })
 }
 
 func BenchmarkSubmanifoldConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.05)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SubmanifoldConv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		out := NewTensor(f.OutC, in.H, in.W)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := SubmanifoldConv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	out := NewTensor(f.OutC, in.H, in.W)
+	benchPools(b, func(pool *par.Pool) error { return SubmanifoldConv2D(out, in, f, pool) })
+}
+
+func BenchmarkSubmanifoldConv2DSites(b *testing.B) {
+	in := benchInput(2, 64, 64, 0.05)
+	f := benchFilter(8, 2, 3)
+	out := NewTensor(f.OutC, in.H, in.W)
+	as := NewActiveSet(in.H, in.W, f.K)
+	as.BuildFromTensor(in, f.K)
+	benchPools(b, func(pool *par.Pool) error { return SubmanifoldConv2DSites(out, in, f, as, pool) })
 }
 
 func BenchmarkSpMM(b *testing.B) {
@@ -121,24 +108,8 @@ func BenchmarkSpMM(b *testing.B) {
 	for i := range d.Data {
 		d.Data[i] = rng.Float32()
 	}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.SpMM(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		out := NewMat(rows, dcols)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.SpMMInto(out, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	out := NewMat(rows, dcols)
+	benchPools(b, func(pool *par.Pool) error { return m.SpMM(out, d, pool) })
 }
 
 func BenchmarkFrameSet(b *testing.B) {

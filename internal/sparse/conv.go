@@ -1,6 +1,10 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"evedge/internal/par"
+)
 
 // Filter is a 2D convolution kernel bank: OutC filters over InC input
 // channels with a square K x K window. Weights are laid out
@@ -53,103 +57,83 @@ func (f *Filter) MACs(h, w int) int64 {
 	return int64(f.OutC) * int64(oh) * int64(ow) * int64(f.InC) * int64(f.K) * int64(f.K)
 }
 
-// checkOut validates a caller-supplied output tensor against the
-// filter's expected shape for an h x w input.
-func checkOut(out *Tensor, f *Filter, h, w int) (oh, ow int, err error) {
-	oh, ow = f.OutShape(h, w)
-	if oh <= 0 || ow <= 0 {
-		return 0, 0, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	if out.C != f.OutC || out.H != oh || out.W != ow {
-		return 0, 0, fmt.Errorf("sparse: conv output tensor %dx%dx%d != expected %dx%dx%d",
-			out.C, out.H, out.W, f.OutC, oh, ow)
-	}
-	return oh, ow, nil
-}
+// Every convolution kernel below has one exported entry point taking
+// a worker pool and one unexported row-range body that writes (and
+// first initializes) exactly the output rows it is handed. A nil pool
+// or a pool of width 1 runs the body once over all rows; a wider pool
+// runs it over disjoint row ranges (see runRows). Each output element
+// is produced by exactly one range with the same accumulation order,
+// so results are bit-identical for every pool width and schedule.
 
-// Conv2D computes the dense direct convolution of in with f.
-func Conv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2D(in, f)
-	}
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := Conv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Conv2DInto is Conv2D writing into a caller-supplied (possibly
-// pooled) output tensor; every element is overwritten. The inner
-// loops are identical to Conv2D's, so results are bit-identical.
-func Conv2DInto(out *Tensor, in *Tensor, f *Filter) error {
+// checkConv validates the input channels and a caller-supplied output
+// tensor against the filter's expected shape for in.
+func checkConv(out, in *Tensor, f *Filter) error {
 	if in.C != f.InC {
 		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
 	}
-	if f.Deconv {
-		return deconv2DInto(out, in, f)
+	oh, ow := f.OutShape(in.H, in.W)
+	if oh <= 0 || ow <= 0 {
+		return fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
 	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return err
-	}
-	for oc := 0; oc < f.OutC; oc++ {
-		var bias float32
-		if f.Bias != nil {
-			bias = f.Bias[oc]
-		}
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := bias
-				for ic := 0; ic < f.InC; ic++ {
-					for ky := 0; ky < f.K; ky++ {
-						iy := oy*f.Stride + ky - f.Pad
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < f.K; kx++ {
-							ix := ox*f.Stride + kx - f.Pad
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							sum += f.W(oc, ic, ky, kx) * in.At(ic, iy, ix)
-						}
-					}
-				}
-				out.Set(oc, oy, ox, sum)
-			}
-		}
+	if out.C != f.OutC || out.H != oh || out.W != ow {
+		return fmt.Errorf("sparse: conv output tensor %dx%dx%d != expected %dx%dx%d",
+			out.C, out.H, out.W, f.OutC, oh, ow)
 	}
 	return nil
 }
 
-// deconv2D computes a transposed convolution by scattering each input
-// site through the kernel.
-func deconv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: deconv output %dx%d is empty", oh, ow)
+// Conv2D computes the dense direct convolution of in with f into out,
+// overwriting every element, so pooled tensors need no clearing.
+// Deconvolution is a scatter with overlapping output windows and
+// always runs serially.
+func Conv2D(out, in *Tensor, f *Filter, pool *par.Pool) error {
+	if err := checkConv(out, in, f); err != nil {
+		return err
 	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := deconv2DInto(out, in, f); err != nil {
-		return nil, err
+	if f.Deconv {
+		deconv2D(out, in, f)
+		return nil
 	}
-	return out, nil
+	runRows(pool, rowTask{body: bodyConv, rows: f.OutC * out.H, out: out, in: in, f: f})
+	return nil
 }
 
-// deconv2DInto is deconv2D writing into a caller-supplied tensor.
-func deconv2DInto(out *Tensor, in *Tensor, f *Filter) error {
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return fmt.Errorf("sparse: deconv: %w", err)
+// conv2DRows computes flattened (oc, oy) output rows [lo, hi) of the
+// dense convolution; every element is independent.
+func conv2DRows(out, in *Tensor, f *Filter, lo, hi int) {
+	oh, ow := out.H, out.W
+	for r := lo; r < hi; r++ {
+		oc, oy := r/oh, r%oh
+		var bias float32
+		if f.Bias != nil {
+			bias = f.Bias[oc]
+		}
+		for ox := 0; ox < ow; ox++ {
+			sum := bias
+			for ic := 0; ic < f.InC; ic++ {
+				for ky := 0; ky < f.K; ky++ {
+					iy := oy*f.Stride + ky - f.Pad
+					if iy < 0 || iy >= in.H {
+						continue
+					}
+					for kx := 0; kx < f.K; kx++ {
+						ix := ox*f.Stride + kx - f.Pad
+						if ix < 0 || ix >= in.W {
+							continue
+						}
+						sum += f.W(oc, ic, ky, kx) * in.At(ic, iy, ix)
+					}
+				}
+			}
+			out.Set(oc, oy, ox, sum)
+		}
 	}
+}
+
+// deconv2D computes a transposed convolution into a validated out by
+// scattering each input site through the kernel.
+func deconv2D(out, in *Tensor, f *Filter) {
+	oh, ow := out.H, out.W
 	if f.Bias != nil {
 		for oc := 0; oc < f.OutC; oc++ {
 			for y := 0; y < oh; y++ {
@@ -186,54 +170,6 @@ func deconv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 			}
 		}
 	}
-	return nil
-}
-
-// Im2colConv2D computes the same dense convolution via im2col + GEMM,
-// the formulation GPU libraries use; it cross-checks Conv2D and backs
-// the GEMM-oriented perf model.
-func Im2colConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2D(in, f) // no GEMM path for deconv; direct scatter
-	}
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	kk := f.InC * f.K * f.K
-	cols := NewMat(kk, oh*ow)
-	for ic := 0; ic < f.InC; ic++ {
-		for ky := 0; ky < f.K; ky++ {
-			for kx := 0; kx < f.K; kx++ {
-				row := (ic*f.K+ky)*f.K + kx
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*f.Stride + ky - f.Pad
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*f.Stride + kx - f.Pad
-						var v float32
-						if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
-							v = in.At(ic, iy, ix)
-						}
-						cols.Set(row, oy*ow+ox, v)
-					}
-				}
-			}
-		}
-	}
-	wmat := &Mat{Rows: f.OutC, Cols: kk, Data: f.Weights}
-	prod := MatMul(wmat, cols)
-	out := &Tensor{C: f.OutC, H: oh, W: ow, Data: prod.Data}
-	if f.Bias != nil {
-		for oc := 0; oc < f.OutC; oc++ {
-			for i := oc * oh * ow; i < (oc+1)*oh*ow; i++ {
-				out.Data[i] += f.Bias[oc]
-			}
-		}
-	}
-	return out, nil
 }
 
 // SparseConv2D computes the convolution touching only active input
@@ -243,66 +179,53 @@ func Im2colConv2D(in *Tensor, f *Filter) (*Tensor, error) {
 // than to the full output volume, which is the efficiency E2SF unlocks.
 // The result is numerically identical to Conv2D minus the bias at
 // positions with no contributing inputs (bias is applied everywhere,
-// matching dense semantics).
-func SparseConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2D(in, f)
-	}
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := SparseConv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SparseConv2DInto is SparseConv2D writing into a caller-supplied
-// (possibly pooled) output tensor. The output is fully initialized
-// (bias fill or zero) before the scatter, so pooled tensors need no
-// prior clearing; accumulation order matches SparseConv2D exactly.
-func SparseConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
-	if in.C != f.InC {
-		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2DInto(out, in, f)
-	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
+// matching dense semantics). Deconvolution runs the serial scatter.
+func SparseConv2D(out, in *Tensor, f *Filter, pool *par.Pool) error {
+	if err := checkConv(out, in, f); err != nil {
 		return err
 	}
-	if f.Bias != nil {
-		for oc := 0; oc < f.OutC; oc++ {
-			base := oc * oh * ow
-			for i := 0; i < oh*ow; i++ {
-				out.Data[base+i] = f.Bias[oc]
-			}
-		}
-	} else {
-		out.Zero()
+	if f.Deconv {
+		deconv2D(out, in, f)
+		return nil
 	}
+	runRows(pool, rowTask{body: bodySparseConv, rows: out.H, out: out, in: in, f: f})
+	return nil
+}
+
+// sparseConvRows initializes output rows [lo, hi) (bias or zero) and
+// scatters into them from the input rows that can reach them. Per
+// output element the contributions arrive in (ic, iy, ix) ascending
+// order whatever the range.
+func sparseConvRows(out, in *Tensor, f *Filter, lo, hi int) {
+	ow := out.W
+	for oc := 0; oc < f.OutC; oc++ {
+		var bias float32
+		if f.Bias != nil {
+			bias = f.Bias[oc]
+		}
+		row := out.Data[(oc*out.H+lo)*ow : (oc*out.H+hi)*ow]
+		for i := range row {
+			row[i] = bias
+		}
+	}
+	// Input rows feeding oy in [lo, hi): iy = oy*S + ky - P for
+	// ky in [0, K).
+	iyLo := max(lo*f.Stride-f.Pad, 0)
+	iyHi := min((hi-1)*f.Stride+f.K-f.Pad, in.H)
 	for ic := 0; ic < in.C; ic++ {
-		for iy := 0; iy < in.H; iy++ {
-			for ix := 0; ix < in.W; ix++ {
-				v := in.At(ic, iy, ix)
+		for iy := iyLo; iy < iyHi; iy++ {
+			irow := in.Data[(ic*in.H+iy)*in.W : (ic*in.H+iy+1)*in.W]
+			for ix, v := range irow {
 				if v == 0 {
 					continue
 				}
-				// Input (iy, ix) contributes to outputs (oy, ox) where
-				// oy*S + ky - P == iy for some ky in [0, K).
 				for ky := 0; ky < f.K; ky++ {
 					num := iy + f.Pad - ky
 					if num < 0 || num%f.Stride != 0 {
 						continue
 					}
 					oy := num / f.Stride
-					if oy >= oh {
+					if oy < lo || oy >= hi {
 						continue
 					}
 					for kx := 0; kx < f.K; kx++ {
@@ -322,36 +245,11 @@ func SparseConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 			}
 		}
 	}
-	return nil
 }
 
-// SubmanifoldConv2D computes a submanifold sparse convolution: outputs
-// are produced only at sites that are active in the input, preventing
-// the active set from dilating layer after layer. Requires stride 1
-// and equal input/output spatial size (K odd, Pad == K/2).
-func SubmanifoldConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Stride != 1 || f.K%2 == 0 || f.Pad != f.K/2 {
-		return nil, fmt.Errorf("sparse: submanifold conv needs stride 1, odd K, pad K/2 (got s=%d k=%d p=%d)",
-			f.Stride, f.K, f.Pad)
-	}
-	out := NewTensor(f.OutC, in.H, in.W)
-	if err := SubmanifoldConv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubmanifoldConv2DInto is SubmanifoldConv2D writing into a
-// caller-supplied (possibly pooled) output tensor; inactive sites are
-// zeroed. Active sites are found by a direct row-major scan instead
-// of materializing an ActiveSites slice, so the kernel allocates
-// nothing, and the per-(oc, ic) weight-row base slices are hoisted
-// outside the site loop (see submanifoldRows) — same visit and
-// accumulation order, bit-identical results.
-func SubmanifoldConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
+// checkSubmanifold validates the submanifold geometry (stride 1, odd
+// K, pad K/2) and a same-size output tensor.
+func checkSubmanifold(out, in *Tensor, f *Filter) error {
 	if in.C != f.InC {
 		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
 	}
@@ -363,9 +261,81 @@ func SubmanifoldConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 		return fmt.Errorf("sparse: conv output tensor %dx%dx%d != expected %dx%dx%d",
 			out.C, out.H, out.W, f.OutC, in.H, in.W)
 	}
-	out.Zero()
-	submanifoldRows(out, in, f, 0, in.H)
 	return nil
+}
+
+// SubmanifoldConv2D computes a submanifold sparse convolution into
+// out: outputs are produced only at sites that are active in the
+// input, preventing the active set from dilating layer after layer,
+// and inactive sites are zeroed. Requires stride 1 and equal
+// input/output spatial size (K odd, Pad == K/2). Active sites are
+// found by a direct row-major scan, so the kernel allocates nothing.
+func SubmanifoldConv2D(out, in *Tensor, f *Filter, pool *par.Pool) error {
+	if err := checkSubmanifold(out, in, f); err != nil {
+		return err
+	}
+	runRows(pool, rowTask{body: bodySubmanifold, rows: in.H, out: out, in: in, f: f})
+	return nil
+}
+
+// submanifoldRows zeroes output rows [lo, hi) and runs the active-site
+// scan over them with the per-(oc, ic) weight-row bases hoisted out of
+// the site loop; the accumulation order per site is (oc, ic, ky, kx).
+func submanifoldRows(out, in *Tensor, f *Filter, lo, hi int) {
+	zeroRows(out, lo, hi)
+	half := f.K / 2
+	kk := f.K * f.K
+	for oy := lo; oy < hi; oy++ {
+	site:
+		for ox := 0; ox < in.W; ox++ {
+			active := false
+			for c := 0; c < in.C; c++ {
+				if in.At(c, oy, ox) != 0 {
+					active = true
+					break
+				}
+			}
+			if !active {
+				continue site
+			}
+			for oc := 0; oc < f.OutC; oc++ {
+				var sum float32
+				if f.Bias != nil {
+					sum = f.Bias[oc]
+				}
+				wbase := f.Weights[oc*f.InC*kk:]
+				for ic := 0; ic < f.InC; ic++ {
+					wch := wbase[ic*kk:]
+					for ky := 0; ky < f.K; ky++ {
+						iy := oy + ky - half
+						if iy < 0 || iy >= in.H {
+							continue
+						}
+						wrow := wch[ky*f.K : ky*f.K+f.K]
+						irow := in.Data[(ic*in.H+iy)*in.W:]
+						for kx := 0; kx < f.K; kx++ {
+							ix := ox + kx - half
+							if ix < 0 || ix >= in.W {
+								continue
+							}
+							sum += wrow[kx] * irow[ix]
+						}
+					}
+				}
+				out.Set(oc, oy, ox, sum)
+			}
+		}
+	}
+}
+
+// zeroRows clears rows [lo, hi) of every channel of t.
+func zeroRows(t *Tensor, lo, hi int) {
+	for c := 0; c < t.C; c++ {
+		row := t.Data[(c*t.H+lo)*t.W : (c*t.H+hi)*t.W]
+		for i := range row {
+			row[i] = 0
+		}
+	}
 }
 
 // SparseConvMACs estimates the multiply-accumulate count of the sparse

@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"sort"
+
+	"evedge/internal/par"
 )
 
 // CSR is a compressed-sparse-row matrix of float32 values.
@@ -102,29 +104,28 @@ func (m *CSR) SpMV(x []float32) ([]float32, error) {
 	return y, nil
 }
 
-// SpMM computes m * d for a dense matrix d.
-func (m *CSR) SpMM(d *Mat) (*Mat, error) {
-	out := NewMat(m.Rows, d.Cols)
-	if err := m.SpMMInto(out, d); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SpMMInto computes m * d into a preallocated out (m.Rows x d.Cols),
-// overwriting its contents. The accumulation order is identical to
-// SpMM, so results are bit-equal.
-func (m *CSR) SpMMInto(out *Mat, d *Mat) error {
+// SpMM computes m * d into a preallocated out (m.Rows x d.Cols),
+// overwriting its contents. A wider pool splits the CSR rows into
+// disjoint ranges; every output row accumulates in the same order
+// either way, so results are bit-identical for every pool width.
+func (m *CSR) SpMM(out, d *Mat, pool *par.Pool) error {
 	if d.Rows != m.Cols {
 		return fmt.Errorf("sparse: SpMM shape mismatch %dx%d x %dx%d", m.Rows, m.Cols, d.Rows, d.Cols)
 	}
 	if out.Rows != m.Rows || out.Cols != d.Cols {
 		return fmt.Errorf("sparse: SpMM output %dx%d, want %dx%d", out.Rows, out.Cols, m.Rows, d.Cols)
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
+	runRows(pool, rowTask{body: bodySpMM, rows: m.Rows, m: m, d: d, mout: out})
+	return nil
+}
+
+// spmmRows zeroes and computes output rows [lo, hi) of m * d.
+func spmmRows(out *Mat, m *CSR, d *Mat, lo, hi int) {
+	zero := out.Data[lo*out.Cols : hi*out.Cols]
+	for i := range zero {
+		zero[i] = 0
 	}
-	for i := 0; i < m.Rows; i++ {
+	for i := lo; i < hi; i++ {
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			v := m.Vals[k]
@@ -134,7 +135,6 @@ func (m *CSR) SpMMInto(out *Mat, d *Mat) error {
 			}
 		}
 	}
-	return nil
 }
 
 // SpMVInto computes y = m * x into a preallocated y of length m.Rows.

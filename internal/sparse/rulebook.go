@@ -12,7 +12,7 @@ import (
 // pixel sets, and within one forward pass every submanifold layer of
 // the same spatial shape shares one active-site set. Instead of
 // re-discovering activity with an O(C·H·W) scan per layer per frame
-// (what SubmanifoldConv2DInto's row-major scan does), an ActiveSet is
+// (what SubmanifoldConv2D's row-major scan does), an ActiveSet is
 // materialized once per input frame — O(nnz) straight off the sorted
 // COO coordinates — carried across the layers of a pass (refined in
 // O(C·sites) per layer, exact because a submanifold layer can only
@@ -43,8 +43,7 @@ func NewActiveSet(h, w, k int) *ActiveSet {
 	return a
 }
 
-// Reset re-targets the set to a shape, keeping slice capacity — the
-// pooled-construction hook used by mem.ActiveSetPool.
+// Reset re-targets the set to a shape, keeping slice capacity.
 func (a *ActiveSet) Reset(h, w, k int) {
 	if h <= 0 || w <= 0 || k <= 0 || k%2 == 0 {
 		panic(fmt.Sprintf("sparse: invalid active set shape %dx%d k=%d", h, w, k))
@@ -147,49 +146,44 @@ func (a *ActiveSet) Refine(t *Tensor) {
 	a.Clip = a.Clip[:4*j]
 }
 
-// SubmanifoldConv2DSites is SubmanifoldConv2DInto driven by a
+// SubmanifoldConv2DSites is SubmanifoldConv2D driven by a
 // materialized rulebook instead of a dense activity scan. CONTRACT:
 // as must be EXACTLY the active-site set of in (BuildFrom* on in, or
 // Refine'd through the layer stack); under that contract the result
-// is bit-identical to the serial kernel — sites are visited in the
+// is bit-identical to SubmanifoldConv2D — sites are visited in the
 // same row-major order and the clipped tap ranges skip exactly the
-// taps the serial bounds checks skip.
-func SubmanifoldConv2DSites(out, in *Tensor, f *Filter, as *ActiveSet) error {
-	if err := checkSites(out, in, f, as); err != nil {
+// taps the scan kernel's bounds checks skip. A wider pool splits the
+// output rows as SubmanifoldConv2D does.
+func SubmanifoldConv2DSites(out, in *Tensor, f *Filter, as *ActiveSet, pool *par.Pool) error {
+	if err := checkSubmanifold(out, in, f); err != nil {
 		return err
-	}
-	out.Zero()
-	submanifoldSiteRange(out, in, f, as, 0, as.Sites())
-	return nil
-}
-
-// checkSites validates the site-kernel invariants shared by the serial
-// and tiled variants.
-func checkSites(out, in *Tensor, f *Filter, as *ActiveSet) error {
-	if in.C != f.InC {
-		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Stride != 1 || f.K%2 == 0 || f.Pad != f.K/2 {
-		return fmt.Errorf("sparse: submanifold conv needs stride 1, odd K, pad K/2 (got s=%d k=%d p=%d)",
-			f.Stride, f.K, f.Pad)
-	}
-	if out.C != f.OutC || out.H != in.H || out.W != in.W {
-		return fmt.Errorf("sparse: conv output tensor %dx%dx%d != expected %dx%dx%d",
-			out.C, out.H, out.W, f.OutC, in.H, in.W)
 	}
 	if as.H != in.H || as.W != in.W || as.K != f.K {
 		return fmt.Errorf("sparse: active set %dx%d k=%d != input %dx%d k=%d",
 			as.H, as.W, as.K, in.H, in.W, f.K)
 	}
+	runRows(pool, rowTask{body: bodySites, rows: in.H, out: out, in: in, f: f, as: as})
 	return nil
 }
 
-// submanifoldSiteRange computes sites [lo, hi) of the rulebook with
-// the same (oc, ic, ky, kx) accumulation order as submanifoldRows.
-func submanifoldSiteRange(out, in *Tensor, f *Filter, as *ActiveSet, lo, hi int) {
+// siteRows zeroes output rows [lo, hi) and computes the rulebook's
+// sites in those rows with the same (oc, ic, ky, kx) accumulation
+// order as submanifoldRows. Sites are row-major, so the first one is
+// found by binary search.
+func siteRows(out, in *Tensor, f *Filter, as *ActiveSet, lo, hi int) {
+	zeroRows(out, lo, hi)
+	s, e := 0, len(as.Ys)
+	for s < e {
+		m := int(uint(s+e) >> 1)
+		if int(as.Ys[m]) < lo {
+			s = m + 1
+		} else {
+			e = m
+		}
+	}
 	half := f.K / 2
 	kk := f.K * f.K
-	for s := lo; s < hi; s++ {
+	for ; s < len(as.Ys) && int(as.Ys[s]) < hi; s++ {
 		oy, ox := int(as.Ys[s]), int(as.Xs[s])
 		kyLo, kyHi := int(as.Clip[4*s]), int(as.Clip[4*s+1])
 		kxLo, kxHi := int(as.Clip[4*s+2]), int(as.Clip[4*s+3])
@@ -213,63 +207,6 @@ func submanifoldSiteRange(out, in *Tensor, f *Filter, as *ActiveSet, lo, hi int)
 			out.Set(oc, oy, ox, sum)
 		}
 	}
-}
-
-// siteZeroTask zeroes the output tensor in disjoint element ranges.
-type siteZeroTask struct{ out *Tensor }
-
-// siteComputeTask computes disjoint site ranges of the rulebook.
-type siteComputeTask struct {
-	out, in *Tensor
-	f       *Filter
-	as      *ActiveSet
-}
-
-var (
-	siteZeroTasks    = sync.Pool{New: func() any { return new(siteZeroTask) }}
-	siteComputeTasks = sync.Pool{New: func() any { return new(siteComputeTask) }}
-)
-
-func (t *siteZeroTask) RunShard(shard, shards int, _ *par.Scratch) {
-	lo, hi := splitRange(shard, shards, len(t.out.Data))
-	row := t.out.Data[lo:hi]
-	for i := range row {
-		row[i] = 0
-	}
-}
-
-func (t *siteComputeTask) RunShard(shard, shards int, _ *par.Scratch) {
-	lo, hi := splitRange(shard, shards, t.as.Sites())
-	submanifoldSiteRange(t.out, t.in, t.f, t.as, lo, hi)
-}
-
-// SubmanifoldConv2DSitesTiled is SubmanifoldConv2DSites executed
-// across pool shards: a sharded zero pass, then disjoint site ranges.
-// Sites shard evenly regardless of their spatial distribution, so load
-// balance does not depend on where in the frame the activity clusters.
-// Bit-identical to the serial kernels under the same exact-set
-// contract.
-func SubmanifoldConv2DSitesTiled(out, in *Tensor, f *Filter, as *ActiveSet, pool *par.Pool, shards int) error {
-	if pool.Size() <= 1 || shards <= 1 {
-		return SubmanifoldConv2DSites(out, in, f, as)
-	}
-	if err := checkSites(out, in, f, as); err != nil {
-		return err
-	}
-	zt := siteZeroTasks.Get().(*siteZeroTask)
-	zt.out = out
-	pool.Run(clampShards(shards, len(out.Data)), zt)
-	zt.out = nil
-	siteZeroTasks.Put(zt)
-	if as.Sites() == 0 {
-		return nil
-	}
-	ct := siteComputeTasks.Get().(*siteComputeTask)
-	ct.out, ct.in, ct.f, ct.as = out, in, f, as
-	pool.Run(clampShards(shards, as.Sites()), ct)
-	ct.out, ct.in, ct.f, ct.as = nil, nil, nil, nil
-	siteComputeTasks.Put(ct)
-	return nil
 }
 
 // RulebookStats counts a cache's traffic. A hit means the previous
@@ -302,15 +239,8 @@ const DefaultMinOverlap = 0.5
 
 // RulebookCache carries one stream's ActiveSet across frames,
 // delta-revalidating it against each new frame's coordinates. It is
-// safe for concurrent use, though the serving layer drives one cache
-// per session under the session lock.
+// safe for concurrent use.
 type RulebookCache struct {
-	// Borrow/Release, when set, source the cache's two ActiveSet
-	// buffers from a pool (mem.ActiveSetPool) instead of the heap;
-	// Close hands them back.
-	Borrow  func(h, w, k int) *ActiveSet
-	Release func(*ActiveSet)
-
 	k          int
 	minOverlap float64
 
@@ -336,19 +266,11 @@ func NewRulebookCache(k int, minOverlap float64) *RulebookCache {
 // K returns the cache's kernel size.
 func (c *RulebookCache) K() int { return c.k }
 
-// get sources an ActiveSet buffer.
-func (c *RulebookCache) get(h, w int) *ActiveSet {
-	if c.Borrow != nil {
-		return c.Borrow(h, w, c.k)
-	}
-	return NewActiveSet(h, w, c.k)
-}
-
 // Observe folds one frame into the cache and returns the frame's
 // rulebook plus whether the previous frame's structure was reused
 // (hit). The returned set is owned by the cache and valid until the
 // next Observe; callers refining it through a layer stack must do so
-// before then (the serving path observes and consumes under one lock).
+// before then.
 func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 	f.NNZ() // compact before reading coordinates
 	c.mu.Lock()
@@ -356,7 +278,7 @@ func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 	c.stats.Frames++
 	if c.cur == nil || c.cur.H != f.H || c.cur.W != f.W {
 		if c.cur == nil {
-			c.cur = c.get(f.H, f.W)
+			c.cur = NewActiveSet(f.H, f.W, c.k)
 		}
 		c.cur.BuildFromFrame(f, c.k)
 		c.stats.Misses++
@@ -378,7 +300,7 @@ func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 	// carrying surviving sites' clip structure and computing only the
 	// newly activated ones.
 	if c.spare == nil {
-		c.spare = c.get(f.H, f.W)
+		c.spare = NewActiveSet(f.H, f.W, c.k)
 	}
 	next := c.spare
 	next.Reset(f.H, f.W, c.k)
@@ -453,21 +375,4 @@ func (c *RulebookCache) Stats() RulebookStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Close releases pooled buffers (no-op without a Release hook). The
-// cache is reusable afterwards; the next Observe borrows fresh
-// buffers.
-func (c *RulebookCache) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Release != nil {
-		if c.cur != nil {
-			c.Release(c.cur)
-		}
-		if c.spare != nil {
-			c.Release(c.spare)
-		}
-	}
-	c.cur, c.spare = nil, nil
 }

@@ -65,8 +65,8 @@ func TestActiveSetBuildEquivalence(t *testing.T) {
 }
 
 // TestSitesKernelBitIdentical: under the exact-set contract the
-// rulebook-driven kernel (serial and tiled) must reproduce
-// SubmanifoldConv2DInto bit for bit.
+// rulebook-driven kernel (serial and pooled) must reproduce
+// SubmanifoldConv2D bit for bit.
 func TestSitesKernelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pool := par.New(4)
@@ -80,7 +80,7 @@ func TestSitesKernelBitIdentical(t *testing.T) {
 		f := randFilter(r, outC, inC, k, 1, k/2)
 
 		want := NewTensor(outC, h, w)
-		if err := SubmanifoldConv2DInto(want, in, f); err != nil {
+		if err := SubmanifoldConv2D(want, in, f, nil); err != nil {
 			t.Fatal(err)
 		}
 		as := NewActiveSet(h, w, k)
@@ -88,17 +88,17 @@ func TestSitesKernelBitIdentical(t *testing.T) {
 
 		got := NewTensor(outC, h, w)
 		got.FillRandom(r)
-		if err := SubmanifoldConv2DSites(got, in, f, as); err != nil {
+		if err := SubmanifoldConv2DSites(got, in, f, as, nil); err != nil {
 			t.Fatal(err)
 		}
 		bitsEqual(t, "SubmanifoldConv2DSites", got.Data, want.Data)
 
 		gotT := NewTensor(outC, h, w)
 		gotT.FillRandom(r)
-		if err := SubmanifoldConv2DSitesTiled(gotT, in, f, as, pool, 1+r.Intn(8)); err != nil {
+		if err := SubmanifoldConv2DSites(gotT, in, f, as, pool); err != nil {
 			t.Fatal(err)
 		}
-		bitsEqual(t, "SubmanifoldConv2DSitesTiled", gotT.Data, want.Data)
+		bitsEqual(t, "SubmanifoldConv2DSites pooled", gotT.Data, want.Data)
 	}
 }
 
@@ -122,13 +122,13 @@ func TestRefineChainExactness(t *testing.T) {
 		for l := 0; l+1 < len(cs); l++ {
 			f := randFilter(r, cs[l+1], cs[l], k, 1, k/2)
 			want := NewTensor(cs[l+1], h, w)
-			if err := SubmanifoldConv2DInto(want, cur, f); err != nil {
+			if err := SubmanifoldConv2D(want, cur, f, nil); err != nil {
 				t.Fatal(err)
 			}
 			want.ReLU()
 			got := NewTensor(cs[l+1], h, w)
 			got.FillRandom(r)
-			if err := SubmanifoldConv2DSites(got, cur, f, as); err != nil {
+			if err := SubmanifoldConv2DSites(got, cur, f, as, nil); err != nil {
 				t.Fatal(err)
 			}
 			got.ReLU()
@@ -269,41 +269,6 @@ func TestRulebookCoherenceShiftTolerance(t *testing.T) {
 	}
 }
 
-// TestRulebookCacheBorrowRelease: the pool hooks must source every
-// buffer and get them all back on Close.
-func TestRulebookCacheBorrowRelease(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	var borrowed, released int
-	c := NewRulebookCache(3, 0.5)
-	c.Borrow = func(h, w, k int) *ActiveSet {
-		borrowed++
-		return NewActiveSet(h, w, k)
-	}
-	c.Release = func(a *ActiveSet) { released++ }
-	base := randDenseFrame(r, 12, 12, 0.4)
-	for i := 0; i < 5; i++ {
-		f := base.Clone()
-		f.Set(int32(i), 0, 1, 0)
-		c.Observe(f)
-	}
-	if borrowed != 2 { // cur + spare, reused thereafter
-		t.Fatalf("borrowed %d buffers, want 2", borrowed)
-	}
-	c.Close()
-	if released != borrowed {
-		t.Fatalf("released %d of %d borrowed buffers", released, borrowed)
-	}
-	// Reusable after Close.
-	c.Observe(base.Clone())
-	if borrowed != 3 {
-		t.Fatalf("post-Close Observe borrowed %d total, want 3", borrowed)
-	}
-	c.Close()
-	if released != borrowed {
-		t.Fatalf("final release count %d != borrowed %d", released, borrowed)
-	}
-}
-
 // TestActiveSetClipBounds: clip ranges must cover exactly the
 // in-bounds taps (spot check corners and center on a small shape).
 func TestActiveSetClipBounds(t *testing.T) {
@@ -332,17 +297,17 @@ func TestSitesKernelContractErrors(t *testing.T) {
 	as := NewActiveSet(8, 8, 3)
 	as.BuildFromTensor(in, 3)
 	bad := NewTensor(3, 7, 8)
-	if err := SubmanifoldConv2DSites(bad, in, f, as); err == nil {
+	if err := SubmanifoldConv2DSites(bad, in, f, as, nil); err == nil {
 		t.Fatal("accepted mis-shaped output")
 	}
 	wrongK := NewActiveSet(8, 8, 5)
 	wrongK.BuildFromTensor(in, 5)
 	out := NewTensor(3, 8, 8)
-	if err := SubmanifoldConv2DSites(out, in, f, wrongK); err == nil {
+	if err := SubmanifoldConv2DSites(out, in, f, wrongK, nil); err == nil {
 		t.Fatal("accepted active set with mismatched K")
 	}
 	strided := randFilter(r, 3, 2, 3, 2, 1)
-	if err := SubmanifoldConv2DSites(out, in, strided, as); err == nil {
+	if err := SubmanifoldConv2DSites(out, in, strided, as, nil); err == nil {
 		t.Fatal("accepted strided filter")
 	}
 }
@@ -356,13 +321,13 @@ func TestSitesKernelNaNSafety(t *testing.T) {
 	f := &Filter{OutC: 1, InC: 1, K: 3, Stride: 1, Pad: 1,
 		Weights: []float32{0.5, -1, 0.25, 2, -0.125, 1, -3, 0.75, -0.5}}
 	want := NewTensor(1, 4, 4)
-	if err := SubmanifoldConv2DInto(want, in, f); err != nil {
+	if err := SubmanifoldConv2D(want, in, f, nil); err != nil {
 		t.Fatal(err)
 	}
 	as := NewActiveSet(4, 4, 3)
 	as.BuildFromTensor(in, 3)
 	got := NewTensor(1, 4, 4)
-	if err := SubmanifoldConv2DSites(got, in, f, as); err != nil {
+	if err := SubmanifoldConv2DSites(got, in, f, as, nil); err != nil {
 		t.Fatal(err)
 	}
 	bitsEqual(t, "NaN propagation", got.Data, want.Data)

@@ -247,8 +247,8 @@ func TestCSRSpMMMatchesDense(t *testing.T) {
 	for i := range d.Data {
 		d.Data[i] = r.Float32()
 	}
-	got, err := m.SpMM(d)
-	if err != nil {
+	got := NewMat(8, 5)
+	if err := m.SpMM(got, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := MatMul(m.Dense(), d)
@@ -290,7 +290,7 @@ func TestConvKnownValues(t *testing.T) {
 	for i := range f.Weights {
 		f.Weights[i] = 1
 	}
-	out, err := Conv2D(in, f)
+	out, err := newConv(Conv2D, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestIm2colMatchesDirect(t *testing.T) {
 		in := NewTensor(cfg.c, cfg.h, cfg.w)
 		in.FillRandom(r)
 		f := randFilter(r, cfg.oc, cfg.c, cfg.k, cfg.s, cfg.p)
-		a, err := Conv2D(in, f)
+		a, err := newConv(Conv2D, in, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,11 +341,11 @@ func TestSparseConvMatchesDense(t *testing.T) {
 		in := NewTensor(cfg.c, cfg.h, cfg.w)
 		in.FillRandomSparse(r, cfg.density)
 		f := randFilter(r, cfg.oc, cfg.c, cfg.k, cfg.s, cfg.p)
-		dense, err := Conv2D(in, f)
+		dense, err := newConv(Conv2D, in, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := SparseConv2D(in, f)
+		sp, err := newConv(SparseConv2D, in, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +369,8 @@ func TestSparseConvProperty(t *testing.T) {
 		in := NewTensor(c, h, w)
 		in.FillRandomSparse(r, 0.02+r.Float64()*0.2)
 		fl := randFilter(r, 1+r.Intn(4), c, k, s, p)
-		a, errA := Conv2D(in, fl)
-		b, errB := SparseConv2D(in, fl)
+		a, errA := newConv(Conv2D, in, fl)
+		b, errB := newConv(SparseConv2D, in, fl)
 		if errA != nil || errB != nil {
 			return errA != nil && errB != nil // both reject equally
 		}
@@ -386,7 +386,7 @@ func TestSubmanifoldConv(t *testing.T) {
 	in := NewTensor(2, 10, 10)
 	in.FillRandomSparse(r, 0.1)
 	f := randFilter(r, 4, 2, 3, 1, 1)
-	out, err := SubmanifoldConv2D(in, f)
+	out, err := newConv(SubmanifoldConv2D, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSubmanifoldConv(t *testing.T) {
 		}
 	}
 	// At active sites, values agree with dense conv.
-	dense, err := Conv2D(in, f)
+	dense, err := newConv(Conv2D, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +414,10 @@ func TestSubmanifoldConv(t *testing.T) {
 		}
 	}
 	// Rejects non-submanifold configs.
-	if _, err := SubmanifoldConv2D(in, randFilter(r, 2, 2, 3, 2, 1)); err == nil {
+	if _, err := newConv(SubmanifoldConv2D, in, randFilter(r, 2, 2, 3, 2, 1)); err == nil {
 		t.Fatal("stride 2 accepted")
 	}
-	if _, err := SubmanifoldConv2D(in, randFilter(r, 2, 2, 4, 1, 2)); err == nil {
+	if _, err := newConv(SubmanifoldConv2D, in, randFilter(r, 2, 2, 4, 1, 2)); err == nil {
 		t.Fatal("even kernel accepted")
 	}
 }
@@ -428,7 +428,7 @@ func TestDeconv(t *testing.T) {
 	in.FillRandom(r)
 	f := randFilter(r, 3, 2, 4, 2, 1)
 	f.Deconv = true
-	out, err := Conv2D(in, f)
+	out, err := newConv(Conv2D, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestDeconv(t *testing.T) {
 		g.Weights[i] = float32(i)
 	}
 	g.Deconv = true
-	dout, err := Conv2D(delta, g)
+	dout, err := newConv(Conv2D, delta, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package sparse provides the dense and sparse linear-algebra
 // substrate used by Ev-Edge: CHW dense tensors, COO sparse frames, CSR
-// matrices, dense convolution (direct and im2col+GEMM), sparse
-// gather-scatter convolution and submanifold convolution, plus the
+// matrices, dense direct convolution, sparse gather-scatter
+// convolution and submanifold convolution (each runnable serially or
+// split across a par.Pool with bit-identical results), plus the
 // operation-count accounting that drives the performance model.
 //
 // Event frames are extremely sparse (0.15%-28.6% active pixels in the
@@ -131,8 +132,8 @@ func (t *Tensor) FillRandomSparse(r *rand.Rand, density float64) {
 // Site is an active pixel location.
 type Site struct{ Y, X int32 }
 
-// Mat is a dense row-major matrix, the workhorse of the im2col+GEMM
-// dense path.
+// Mat is a dense row-major matrix (the dense operand and output of
+// CSR.SpMM).
 type Mat struct {
 	Rows, Cols int
 	Data       []float32
@@ -151,29 +152,6 @@ func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Set stores v at (i, j).
 func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// MatMul computes a x b with a plain blocked triple loop. Panics on
-// shape mismatch.
-func MatMul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("sparse: matmul shape mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMat(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
 
 // ReLU applies max(0, x) in place and returns t.
 func (t *Tensor) ReLU() *Tensor {
