@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/serve:FuzzDecodeJournalEntry
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint bench bench-json bench-smoke serve cluster scenarios fuzz cover clean
+.PHONY: build test race lint loc bench bench-json bench-smoke serve cluster scenarios fuzz cover clean
 
 build:
 	@mkdir -p $(BIN)
@@ -34,6 +34,13 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Non-test and test Go line counts, excluding the benchmark module
+# (perfbench/): the net line delta each change records in CHANGES.md.
+GOFILES := find . -name '*.go' -not -path './perfbench/*'
+loc:
+	@echo "non-test $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/sparse ./internal/e2sf ./internal/serve

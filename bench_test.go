@@ -147,14 +147,14 @@ func BenchmarkAblationE2SFDirect(b *testing.B) {
 	}
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1); err != nil {
+			if _, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dense-then-sparsify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			frames, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1)
+			frames, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

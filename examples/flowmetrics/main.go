@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	frames, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 25_000, 1)
+	frames, err := conv.ConvertGroupedAppend(nil, stream, 0, 25_000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,6 +66,7 @@ type simResult struct {
 func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa.Config, rt *control.Retuner) simResult {
 	t.Helper()
 	model := perf.NewModel(hw.Xavier())
+	engine := hw.NewEngine(model.Platform(), false)
 	plan, err := pipeline.DefaultPlan(net, hw.Xavier(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +128,8 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 				continue
 			}
 		}
-		start := math.Max(clock, inv.ReadyUS)
-		dur, _ := pipeline.InvocationCost(model, net, plan, inv)
-		end := start + dur
+		inv.ReadyUS = math.Max(clock, inv.ReadyUS)
+		end := pipeline.ScheduleOnEngine(engine, model, net, plan, inv, net.Name, nil)
 		for _, rr := range inv.PerRaw {
 			for k := 0; k < rr.N; k++ {
 				latencies = append(latencies, end-rr.ReadyUS)
@@ -183,10 +183,10 @@ func baseCost(t testing.TB, net *nn.Network) float64 {
 		t.Fatal(err)
 	}
 	f := mkFrame(0, 1000, 0.05)
-	dur, _ := pipeline.InvocationCost(model, net, plan, &pipeline.Invocation{
+	dur := pipeline.ScheduleOnEngine(hw.NewEngine(model.Platform(), false), model, net, plan, &pipeline.Invocation{
 		Frames: []*sparse.Frame{f}, Raw: 1, ReadyUS: 0,
 		PerRaw: []pipeline.RawRef{{ReadyUS: 0, N: 1}},
-	})
+	}, net.Name, nil)
 	if dur <= 0 {
 		t.Fatal("zero invocation cost")
 	}

@@ -37,11 +37,3 @@ func (cfg Config) validate() error {
 	}
 	return nil
 }
-
-// Stats reports what a conversion did.
-type Stats struct {
-	EventsIn    int     // events consumed
-	Frames      int     // sparse frames emitted
-	TotalNNZ    int     // active pixels across all frames
-	MeanDensity float64 // mean fraction of active pixels per frame
-}

@@ -60,7 +60,7 @@ func TestGroupBinsKLargerThanFrames(t *testing.T) {
 		events.Event{TS: 1, X: 1, Y: 1, Pol: events.On},
 		events.Event{TS: 15, X: 1, Y: 1, Pol: events.Off},
 	)
-	got, _, err := fused.ConvertGroupedAppend(nil, s, 0, 20, 5)
+	got, err := fused.ConvertGroupedAppend(nil, s, 0, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestConvertByCountEmptyStream(t *testing.T) {
 	if len(out) != 0 || st.Frames != 0 || st.EventsIn != 0 {
 		t.Fatalf("unfused empty stream: frames=%d stats=%+v", len(out), st)
 	}
-	fout, fst, err := fused.ConvertByCountAppend(nil, s, 0, 100, 10)
+	fout, err := fused.ConvertByCountAppend(nil, s, 0, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fout) != 0 || fst.Frames != 0 || fst.EventsIn != 0 {
-		t.Fatalf("fused empty stream: frames=%d stats=%+v", len(fout), fst)
+	if len(fout) != 0 {
+		t.Fatalf("fused empty stream: frames=%d", len(fout))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestConvertEmptyStreamEmitsEmptyBins(t *testing.T) {
 	if len(frames) != 4 {
 		t.Fatalf("Convert empty stream emitted %d frames, want 4", len(frames))
 	}
-	got, _, err := fused.ConvertGroupedAppend(nil, s, 0, 100, 2)
+	got, err := fused.ConvertGroupedAppend(nil, s, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +152,20 @@ func TestConvertByCountZeroCountChunk(t *testing.T) {
 	if len(out) != 0 || st.EventsIn != 0 {
 		t.Fatalf("unfused zero-count chunk: frames=%d events=%d", len(out), st.EventsIn)
 	}
-	fout, fst, err := fused.ConvertByCountAppend(nil, s, 0, 100, 1)
+	fout, err := fused.ConvertByCountAppend(nil, s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fout) != 0 || fst.EventsIn != 0 {
-		t.Fatalf("fused zero-count chunk: frames=%d events=%d", len(fout), fst.EventsIn)
+	if len(fout) != 0 {
+		t.Fatalf("fused zero-count chunk: frames=%d", len(fout))
 	}
 	// The event outside the first window is still convertible after.
-	fout, fst, err = fused.ConvertByCountAppend(nil, s, 400, 600, 1)
+	fout, err = fused.ConvertByCountAppend(nil, s, 400, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fout) != 1 || fst.EventsIn != 1 {
-		t.Fatalf("follow-up window: frames=%d events=%d", len(fout), fst.EventsIn)
+	if len(fout) != 1 || fout[0].NNZ() != 1 {
+		t.Fatalf("follow-up window: frames=%d", len(fout))
 	}
 	if fout[0].T0 != 400 || fout[0].T1 != 501 {
 		t.Fatalf("follow-up frame bounds [%d,%d), want [400,501)", fout[0].T0, fout[0].T1)
@@ -186,7 +186,7 @@ func TestConvertByCountTrailingPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fused.ConvertByCountAppend(nil, s, 0, 100, 50)
+	got, err := fused.ConvertByCountAppend(nil, s, 0, 100, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

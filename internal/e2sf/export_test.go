@@ -12,6 +12,14 @@ import (
 	"evedge/internal/sparse"
 )
 
+// Stats reports what an oracle conversion did.
+type Stats struct {
+	EventsIn    int     // events consumed
+	Frames      int     // sparse frames emitted
+	TotalNNZ    int     // active pixels across all frames
+	MeanDensity float64 // mean fraction of active pixels per frame
+}
+
 // Converter maps event streams to sparse frames the straightforward
 // way: one FrameBuilder map per bin, then GroupBins merges the bins.
 // It is the test oracle Fused must reproduce bit for bit.

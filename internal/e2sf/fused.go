@@ -130,19 +130,17 @@ func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
 // NumBins bins per Eq. 1 and appends one frame per group of groupK
 // consecutive bins to dst (the last group may cover fewer bins; empty
 // groups still yield empty frames, preserving temporal alignment).
-// Appending lets a caller reuse its output slice across chunks. Stats
-// are reported over the emitted group frames. The stream must be
-// sorted.
-func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
-	var st Stats
+// Appending lets a caller reuse its output slice across chunks. The
+// stream must be sorted.
+func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, error) {
 	if tEnd <= tStart {
-		return dst, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
+		return dst, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
 	}
 	if groupK <= 0 {
-		return dst, st, fmt.Errorf("e2sf: group size must be positive, got %d", groupK)
+		return dst, fmt.Errorf("e2sf: group size must be positive, got %d", groupK)
 	}
 	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return dst, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
+		return dst, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
 			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
 	}
 	nB := k.cfg.NumBins
@@ -160,10 +158,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		// member bin's end under the Eq. 1 float64 bin arithmetic.
 		t0 := tStart + int64(float64(a)*biS)
 		t1 := tStart + int64(float64(b)*biS)
-		f := k.emitFrame(t0, t1)
-		dst = append(dst, f)
-		st.TotalNNZ += f.NNZ()
-		st.MeanDensity += f.Density()
+		dst = append(dst, k.emitFrame(t0, t1))
 	}
 	for _, e := range s.Window(tStart, tEnd) {
 		bi := int(float64(e.TS-tStart) / biS)
@@ -174,16 +169,11 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 			emit()
 		}
 		k.add(e)
-		st.EventsIn++
 	}
 	for ; g < nG; g++ {
 		emit()
 	}
-	st.Frames = nG
-	if nG > 0 {
-		st.MeanDensity /= float64(nG)
-	}
-	return dst, st, nil
+	return dst, nil
 }
 
 // ConvertByCountAppend implements the count-based framing of prior
@@ -193,33 +183,27 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 // the closing event, plus a trailing partial frame ending at tEnd. The
 // frame rate tracks scene activity — the behaviour that creates frame
 // backlog during bursts and motivates DSFA.
-func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
-	var st Stats
+func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, error) {
 	if tEnd <= tStart {
-		return dst, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
+		return dst, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
 	}
 	if countPerFrame <= 0 {
-		return dst, st, fmt.Errorf("e2sf: countPerFrame must be positive, got %d", countPerFrame)
+		return dst, fmt.Errorf("e2sf: countPerFrame must be positive, got %d", countPerFrame)
 	}
 	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return dst, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
+		return dst, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
 			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
 	}
 	k.ensureScratch()
 	frameStart := tStart
 	n := 0
 	emit := func(t1 int64) {
-		f := k.emitFrame(frameStart, t1)
-		dst = append(dst, f)
-		st.TotalNNZ += f.NNZ()
-		st.MeanDensity += f.Density()
-		st.Frames++
+		dst = append(dst, k.emitFrame(frameStart, t1))
 		frameStart = t1
 		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
 		k.add(e)
-		st.EventsIn++
 		n++
 		if n >= countPerFrame {
 			emit(e.TS + 1)
@@ -228,10 +212,7 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	if n > 0 {
 		emit(tEnd)
 	}
-	if st.Frames > 0 {
-		st.MeanDensity /= float64(st.Frames)
-	}
-	return dst, st, nil
+	return dst, nil
 }
 
 func sortInt32s(a []int32) {

@@ -76,7 +76,7 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		t1 := t0 + 1 + rng.Int63n(997) // deliberately not a multiple of nB
 		s := randStream(rng, w, h, rng.Intn(400), t0, t1)
 
-		frames, uSt, err := conv.Convert(s, t0, t1)
+		frames, _, err := conv.Convert(s, t0, t1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, fSt, err := fused.ConvertGroupedAppend(nil, s, t0, t1, groupK)
+		got, err := fused.ConvertGroupedAppend(nil, s, t0, t1, groupK)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +93,6 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		}
 		for i := range want {
 			framesEqual(t, "grouped", got[i], want[i])
-		}
-		if fSt.EventsIn != uSt.EventsIn {
-			t.Fatalf("trial %d: EventsIn %d != %d", trial, fSt.EventsIn, uSt.EventsIn)
-		}
-		if fSt.Frames != len(want) {
-			t.Fatalf("trial %d: Stats.Frames = %d, want %d", trial, fSt.Frames, len(want))
 		}
 	}
 }
@@ -123,11 +117,11 @@ func TestFusedConvertByCountParity(t *testing.T) {
 		s := randStream(rng, w, h, rng.Intn(300), t0, t1)
 		cpf := 1 + rng.Intn(50)
 
-		want, uSt, err := conv.ConvertByCount(s, t0, t1, cpf)
+		want, _, err := conv.ConvertByCount(s, t0, t1, cpf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, fSt, err := fused.ConvertByCountAppend(nil, s, t0, t1, cpf)
+		got, err := fused.ConvertByCountAppend(nil, s, t0, t1, cpf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +130,6 @@ func TestFusedConvertByCountParity(t *testing.T) {
 		}
 		for i := range want {
 			framesEqual(t, "bycount", got[i], want[i])
-		}
-		if fSt.EventsIn != uSt.EventsIn || fSt.Frames != uSt.Frames || fSt.TotalNNZ != uSt.TotalNNZ {
-			t.Fatalf("trial %d: stats %+v != %+v", trial, fSt, uSt)
 		}
 	}
 }
@@ -160,7 +151,7 @@ func TestFusedScratchReuseAcrossChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := GroupBins(frames, 2)
-		got, _, err := fused.ConvertGroupedAppend(nil, s, t0, t1, 2)
+		got, err := fused.ConvertGroupedAppend(nil, s, t0, t1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +177,7 @@ func TestFusedPooledZeroAlloc(t *testing.T) {
 	cycle := func() {
 		out = out[:0]
 		var err error
-		out, _, err = fused.ConvertGroupedAppend(out, s, 0, 1000, 2)
+		out, err = fused.ConvertGroupedAppend(out, s, 0, 1000, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +204,11 @@ func TestFusedFreshFramesExactSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := randStream(rng, cfg.Width, cfg.Height, 700, 0, 3000)
-	grouped, _, err := fused.ConvertGroupedAppend(nil, s, 0, 3000, 2)
+	grouped, err := fused.ConvertGroupedAppend(nil, s, 0, 3000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, _, err := fused.ConvertByCountAppend(nil, s, 0, 3000, 97)
+	counted, err := fused.ConvertByCountAppend(nil, s, 0, 3000, 97)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,16 +252,16 @@ func TestFusedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := events.NewStream(8, 8)
-	if _, _, err := fused.ConvertGroupedAppend(nil, s, 10, 10, 1); err == nil {
+	if _, err := fused.ConvertGroupedAppend(nil, s, 10, 10, 1); err == nil {
 		t.Fatal("empty interval accepted")
 	}
-	if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10, 0); err == nil {
+	if _, err := fused.ConvertGroupedAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero group size accepted")
 	}
-	if _, _, err := fused.ConvertGroupedAppend(nil, events.NewStream(4, 4), 0, 10, 1); err == nil {
+	if _, err := fused.ConvertGroupedAppend(nil, events.NewStream(4, 4), 0, 10, 1); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
-	if _, _, err := fused.ConvertByCountAppend(nil, s, 0, 10, 0); err == nil {
+	if _, err := fused.ConvertByCountAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero countPerFrame accepted")
 	}
 	if _, err := NewFused(Config{Width: 0, Height: 1, NumBins: 1}, nil); err == nil {
@@ -303,7 +294,7 @@ func BenchmarkE2SFConvert(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10000, 2); err != nil {
+			if _, err := fused.ConvertGroupedAppend(nil, s, 0, 10000, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -317,7 +308,7 @@ func BenchmarkE2SFConvert(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out = out[:0]
 			var err error
-			out, _, err = fused.ConvertGroupedAppend(out, s, 0, 10000, 2)
+			out, err = fused.ConvertGroupedAppend(out, s, 0, 10000, 2)
 			if err != nil {
 				b.Fatal(err)
 			}

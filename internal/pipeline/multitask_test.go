@@ -223,3 +223,43 @@ func TestRunMultiTaskDeterminism(t *testing.T) {
 		t.Fatal("multi-task run not deterministic")
 	}
 }
+
+// TestOfflineMatchesSingleTaskMultiTask is the offline cross-path
+// check: at LevelE2SF a streaming run is one all-GPU FP16 inference
+// per frame served FIFO, which is exactly a single-task RunMultiTask
+// under an all-GPU FP16 assignment. Both paths price on hw.Engine, so
+// on the same stream their reports must agree bit for bit.
+func TestOfflineMatchesSingleTaskMultiTask(t *testing.T) {
+	const durUS = 400_000
+	platform := hw.Xavier()
+	for _, net := range nn.All() {
+		seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := seq.Generate(durUS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, err := Run(Config{Net: net, Platform: platform, Level: LevelE2SF, DurUS: durUS, Stream: stream})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", net.Name, err)
+		}
+		nets := []*nn.Network{net}
+		mt, err := RunMultiTask(MultiTaskConfig{
+			Nets: nets, Platform: platform, Assignment: multiAssignment(t, nets, platform, "gpu"),
+			DurUS: durUS, Streams: []*events.Stream{stream},
+		})
+		if err != nil {
+			t.Fatalf("%s: RunMultiTask: %v", net.Name, err)
+		}
+		task := mt.Tasks[0]
+		if off.RawFrames != task.RawFrames ||
+			off.MeanLatencyUS != task.MeanLatencyUS || off.P99LatencyUS != task.P99LatencyUS ||
+			off.MakespanUS != mt.MakespanUS || off.EnergyJ != mt.EnergyJ {
+			t.Errorf("%s: offline (frames %d, mean %v, p99 %v, makespan %v, energy %v) != multi-task (frames %d, mean %v, p99 %v, makespan %v, energy %v)",
+				net.Name, off.RawFrames, off.MeanLatencyUS, off.P99LatencyUS, off.MakespanUS, off.EnergyJ,
+				task.RawFrames, task.MeanLatencyUS, task.P99LatencyUS, mt.MakespanUS, mt.EnergyJ)
+		}
+	}
+}

@@ -209,7 +209,6 @@ func Run(cfg Config) (*Report, error) {
 
 	// Streaming execution.
 	exec := runExecutor(model, cfg, plan, frames)
-	busyPerDev := exec.busyPerDev
 	latencies := exec.latencies
 	rep.Invocations = exec.invocations
 	rep.BatchedUnits = exec.batchedUnits
@@ -219,15 +218,7 @@ func Run(cfg Config) (*Report, error) {
 	horizon := math.Max(exec.makespan, float64(cfg.DurUS))
 	rep.MakespanUS = exec.makespan
 	rep.ThroughputFPS = float64(rep.RawFrames) / (horizon * 1e-6)
-	var energy float64
-	for _, d := range cfg.Platform.Devices {
-		busy := busyPerDev[d.ID]
-		if busy > horizon {
-			busy = horizon
-		}
-		energy += d.ActiveWatts*busy*1e-6 + d.IdleWatts*(horizon-busy)*1e-6
-	}
-	rep.EnergyJ = energy
+	rep.EnergyJ = exec.engine.EnergyJoules(horizon)
 
 	sort.Float64s(latencies)
 	var sum float64
@@ -268,12 +259,12 @@ func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*spar
 		if count < 1 {
 			count = 1
 		}
-		if out, _, err = conv.ConvertByCountAppend(out, stream, 0, durUS, count); err != nil {
+		if out, err = conv.ConvertByCountAppend(out, stream, 0, durUS, count); err != nil {
 			return nil, st, err
 		}
 	} else {
 		for t0 := int64(0); t0+net.Input.WindowUS <= durUS; t0 += net.Input.WindowUS {
-			if out, _, err = conv.ConvertGroupedAppend(out, stream, t0, t0+net.Input.WindowUS, net.Input.GroupK); err != nil {
+			if out, err = conv.ConvertGroupedAppend(out, stream, t0, t0+net.Input.WindowUS, net.Input.GroupK); err != nil {
 				return nil, st, err
 			}
 		}
@@ -387,8 +378,8 @@ func dsfaConfig(cfg Config) dsfa.Config {
 
 // execResult aggregates the executor loop's accounting.
 type execResult struct {
+	engine       *hw.Engine
 	latencies    []float64
-	busyPerDev   map[int]float64
 	invocations  int
 	batchedUnits int
 	makespan     float64
@@ -397,21 +388,21 @@ type execResult struct {
 }
 
 // runExecutor simulates the streaming executor by driving the Stepper
-// the same way a live server would. Below LevelDSFA every frame is one
-// invocation served FIFO. At LevelDSFA and above, frames enter the
-// aggregator as they are produced and a batch is dispatched whenever
-// the hardware becomes available — so during bursts (or on slow
-// mappings) frames accumulate and merge, which is exactly the
-// backlog-clearing behaviour of the paper's Sec. 4.2.
+// the same way a live server would, pricing every invocation on a
+// private engine. Below LevelDSFA every frame is one invocation served
+// FIFO. At LevelDSFA and above, frames enter the aggregator as they
+// are produced and a batch is dispatched whenever the hardware becomes
+// available — so during bursts (or on slow mappings) frames accumulate
+// and merge, which is exactly the backlog-clearing behaviour of the
+// paper's Sec. 4.2.
 func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame) *execResult {
-	res := &execResult{busyPerDev: map[int]float64{}, mergeRatio: 1}
+	res := &execResult{engine: hw.NewEngine(cfg.Platform, false), mergeRatio: 1}
 	serve := func(inv *Invocation, startAfter float64) float64 {
-		start := math.Max(startAfter, inv.ReadyUS)
-		dur, busy := InvocationCost(model, cfg.Net, p, inv)
-		end := start + dur
-		for dev, b := range busy {
-			res.busyPerDev[dev] += b
-		}
+		// Invocations run one at a time: every queue is free by
+		// startAfter, so the batch starts at the later of that and its
+		// own readiness.
+		inv.ReadyUS = math.Max(startAfter, inv.ReadyUS)
+		end := ScheduleOnEngine(res.engine, model, cfg.Net, p, inv, cfg.Net.Name, nil)
 		for _, rr := range inv.PerRaw {
 			for k := 0; k < rr.N; k++ {
 				res.latencies = append(res.latencies, end-rr.ReadyUS)

@@ -396,67 +396,6 @@ func layerDur(model *perf.Model, net *nn.Network, p *ExecPlan, i int, dev *hw.De
 	return dur
 }
 
-// InvocationCost prices one batched inference by list-scheduling the
-// single-task layer graph on otherwise-idle devices (Eq. 3 semantics,
-// same as the Network Mapper's estimator): per-layer times at the
-// planned device and precision with runtime kernel selection, transfer
-// nodes on device changes, and parallel branches overlapping across
-// devices. It returns the invocation makespan and per-device busy
-// time.
-func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation) (float64, map[int]float64) {
-	batch := len(inv.Frames)
-	if batch == 0 {
-		return 0, nil
-	}
-	density := batchDensity(inv)
-
-	busy := map[int]float64{}
-	platform := model.Platform()
-	devFree := make([]float64, len(platform.Devices))
-	umFree := 0.0
-	end := make([]float64, len(net.Layers))
-	var makespan float64
-	for i := range net.Layers {
-		dev := platform.Devices[p.Device[i]]
-		dur := layerDur(model, net, p, i, dev, batch, density)
-		// Ready when all producers (plus their transfers) complete.
-		ready := 0.0
-		for _, pr := range net.Preds[i] {
-			pready := end[pr]
-			if p.Device[pr] != p.Device[i] {
-				c := model.CommUS(net.Layers[pr], platform.Devices[p.Device[pr]], dev, p.Prec[pr])
-				cs := math.Max(pready, umFree)
-				umFree = cs + c
-				pready = umFree
-			}
-			if pready > ready {
-				ready = pready
-			}
-		}
-		start := math.Max(ready, devFree[p.Device[i]])
-		end[i] = start + dur
-		devFree[p.Device[i]] = end[i]
-		busy[dev.ID] += dur
-		if end[i] > makespan {
-			makespan = end[i]
-		}
-	}
-	return makespan, busy
-}
-
-// ScheduleOnEngine pushes one batched inference through the shared
-// per-device FIFO queues of a live engine — Eq. 3 semantics with
-// cross-task contention: layers start no earlier than their producers
-// (plus unified-memory transfers, serialized through the engine's
-// shared bus) and queue behind whatever other tasks occupy their
-// device. It returns the invocation completion time. The engine is
-// internally synchronized, so scheduler dispatchers for different
-// devices call this concurrently; the execution scheduler
-// (internal/sched) is the path everything routes through.
-func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string) float64 {
-	return ScheduleOnEngineObs(engine, model, net, p, inv, tag, nil)
-}
-
 // ExecObserver receives every engine reservation ScheduleOnEngine
 // makes: one call per layer execution (um=false, dev is the platform
 // device index) and one per unified-memory transfer between devices
@@ -470,9 +409,17 @@ type ExecObserver func(dev int, name string, startUS, endUS float64, um bool)
 // depth.
 var endScratch = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 
-// ScheduleOnEngineObs is ScheduleOnEngine with an execution observer;
-// obs may be nil (the untraced path pays one nil check per layer).
-func ScheduleOnEngineObs(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string, obs ExecObserver) float64 {
+// ScheduleOnEngine prices one batched inference on an engine's
+// per-device FIFO queues — the Eq. 3 recurrence every execution path
+// uses. Each layer runs at its planned device and precision with
+// runtime kernel selection, starts no earlier than inv.ReadyUS and its
+// producers (plus unified-memory transfers, serialized through the
+// engine's shared bus), and queues behind whatever else occupies its
+// device. It returns the invocation completion time. obs may be nil;
+// otherwise it sees every reservation. The engine is internally
+// synchronized, so scheduler dispatchers for different devices call
+// this concurrently.
+func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string, obs ExecObserver) float64 {
 	batch := len(inv.Frames)
 	if batch == 0 {
 		return 0
@@ -529,23 +476,15 @@ func ScheduleOnEngineObs(engine *hw.Engine, model *perf.Model, net *nn.Network, 
 	return last
 }
 
-// MergeInvocations coalesces several invocations of the same network
-// under the same plan into one micro-batched inference: the members'
-// frames ride one launch, the batch becomes ready when its newest
-// member is, and the per-raw-frame attribution is concatenated so each
-// submitter can still account its own latencies against the shared
-// completion time. The execution scheduler calls this when compatible
+// MergeInvocationsInto coalesces several invocations of the same
+// network under the same plan into one micro-batched inference written
+// into a caller-owned (empty, typically pooled) invocation: the
+// members' frames ride one launch, the batch becomes ready when its
+// newest member is, and the per-raw-frame attribution is concatenated
+// so each submitter can still account its own latencies against the
+// shared completion time. It copies even a single member, so out never
+// aliases an input. The execution scheduler calls this when compatible
 // cross-session work lands inside one coalescing window.
-func MergeInvocations(invs []*Invocation) *Invocation {
-	if len(invs) == 1 {
-		return invs[0]
-	}
-	return MergeInvocationsInto(&Invocation{}, invs)
-}
-
-// MergeInvocationsInto is MergeInvocations writing into a caller-owned
-// (empty, typically pooled) invocation. Unlike MergeInvocations it
-// copies even a single member, so out never aliases an input.
 func MergeInvocationsInto(out *Invocation, invs []*Invocation) *Invocation {
 	for _, inv := range invs {
 		out.Frames = append(out.Frames, inv.Frames...)

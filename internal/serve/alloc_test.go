@@ -184,7 +184,7 @@ func collectAllocStages(t *testing.T) []allocStage {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
+				frames, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

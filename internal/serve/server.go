@@ -847,7 +847,7 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 		}()
 	}
 	if s.tracer == nil {
-		return pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag)
+		return pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag, nil)
 	}
 	// Traced dispatch: the execution observer folds the per-layer
 	// callbacks into one busy span per device (first layer start to
@@ -858,7 +858,7 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 	// latency/throughput trade the batch window bounds).
 	devs := make([]devExtent, len(s.devTracks))
 	execStart := -1.0
-	end := pipeline.ScheduleOnEngineObs(s.engine, s.model, first.net, &first.plan, inv, tag,
+	end := pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag,
 		func(dev int, name string, startUS, endUS float64, um bool) {
 			if um {
 				s.umTrack.Span(obs.StageComms, name, startUS, endUS, 0)

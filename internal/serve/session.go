@@ -446,7 +446,7 @@ func (c *ingestConverter) convertWindows() ([]*sparse.Frame, error) {
 	var err error
 	for c.winStart+c.spec.WindowUS <= c.watermark {
 		t1 := c.winStart + c.spec.WindowUS
-		out, _, err = c.fz.ConvertGroupedAppend(out, c.buf, c.winStart, t1, c.spec.GroupK)
+		out, err = c.fz.ConvertGroupedAppend(out, c.buf, c.winStart, t1, c.spec.GroupK)
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +488,7 @@ func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
 		// previous frame's boundary must not be sliced away), then chain
 		// T0 to the previous frame's end.
 		t1 := run.TEnd() + 1
-		frames, _, err := c.fz.ConvertByCountAppend(out, run, run.TStart(), t1, run.Len())
+		frames, err := c.fz.ConvertByCountAppend(out, run, run.TStart(), t1, run.Len())
 		if err != nil {
 			return err
 		}

@@ -88,22 +88,6 @@ func (m *CSR) At(i, j int) float32 {
 	return 0
 }
 
-// SpMV computes y = m * x for a dense vector x.
-func (m *CSR) SpMV(x []float32) ([]float32, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("sparse: SpMV vector length %d != cols %d", len(x), m.Cols)
-	}
-	y := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var sum float32
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
-	return y, nil
-}
-
 // SpMM computes m * d into a preallocated out (m.Rows x d.Cols),
 // overwriting its contents. A wider pool splits the CSR rows into
 // disjoint ranges; every output row accumulates in the same order
@@ -135,24 +119,6 @@ func spmmRows(out *Mat, m *CSR, d *Mat, lo, hi int) {
 			}
 		}
 	}
-}
-
-// SpMVInto computes y = m * x into a preallocated y of length m.Rows.
-func (m *CSR) SpMVInto(y, x []float32) error {
-	if len(x) != m.Cols {
-		return fmt.Errorf("sparse: SpMV vector length %d != cols %d", len(x), m.Cols)
-	}
-	if len(y) != m.Rows {
-		return fmt.Errorf("sparse: SpMV output length %d != rows %d", len(y), m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		var sum float32
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
-	return nil
 }
 
 // Dense expands the CSR matrix to a dense Mat.

@@ -218,16 +218,6 @@ func TestCSR(t *testing.T) {
 	if m.At(0, 1) != 3 || m.At(1, 0) != 3 || m.At(1, 2) != 4 || m.At(2, 2) != 0 {
 		t.Fatal("At wrong")
 	}
-	y, err := m.SpMV([]float32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[1] != 15 || y[2] != 0 {
-		t.Fatalf("spmv=%v", y)
-	}
-	if _, err := m.SpMV([]float32{1}); err == nil {
-		t.Fatal("bad vector accepted")
-	}
 	if _, err := NewCSR(2, 2, []COOEntry{{5, 0, 1}}); err == nil {
 		t.Fatal("out of bounds entry accepted")
 	}
